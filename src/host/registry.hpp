@@ -1,15 +1,18 @@
 // NodeTable: the node registry shared by every hosting substrate.
 //
-// Owns the node records and maintains the id -> slot index, the dense
-// live-id vector (O(1) removal via swap-with-back) and the monotonically
-// increasing id counter. Substrates layer their own scheduling (rounds,
-// events, threads) on top; the bookkeeping that used to be duplicated across
-// Engine / AsyncEngine / Cluster lives here exactly once.
+// Owns the node records, the dense live-id vector (O(1) removal via
+// swap-with-back) and each live node's position in it. Ids are dense:
+// spawn() hands out id == creation slot, so every id lookup is a bounds
+// check plus a vector index (DESIGN.md §7.6). Substrates layer their own
+// scheduling (rounds, events, threads) on top; the bookkeeping that used to
+// be duplicated across Engine / AsyncEngine / Cluster lives here exactly
+// once.
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <span>
-#include <unordered_map>
+#include <stdexcept>
 #include <vector>
 
 #include "host/node.hpp"
@@ -22,7 +25,7 @@ namespace adam2::host {
 
 class NodeTable {
  public:
-  /// Creates a live node with a fresh id and both per-node random streams
+  /// Creates a live node with id == size() and both per-node random streams
   /// derived from `seed_rng` (which is advanced). The agent is NOT attached —
   /// the caller builds a context and attaches one. The reference stays valid
   /// until the next spawn.
@@ -34,20 +37,27 @@ class NodeTable {
   /// No-op when the node is already dead.
   void kill(NodeId id);
 
-  [[nodiscard]] bool is_live(NodeId id) const;
-  [[nodiscard]] bool contains(NodeId id) const { return index_.count(id) != 0; }
+  /// False for dead nodes and for ids never handed out (id >= size()).
+  [[nodiscard]] bool is_live(NodeId id) const {
+    return id < nodes_.size() && nodes_[id].alive;
+  }
+  [[nodiscard]] bool contains(NodeId id) const { return id < nodes_.size(); }
 
   /// Node lookup by id; throws std::out_of_range for unknown ids.
-  [[nodiscard]] Node& at(NodeId id);
-  [[nodiscard]] const Node& at(NodeId id) const;
+  [[nodiscard]] Node& at(NodeId id) { return nodes_[slot_of(id)]; }
+  [[nodiscard]] const Node& at(NodeId id) const { return nodes_[slot_of(id)]; }
 
   /// Node lookup by creation slot (0 .. size()-1), including dead nodes.
   [[nodiscard]] Node& by_slot(std::size_t slot) { return nodes_[slot]; }
   [[nodiscard]] const Node& by_slot(std::size_t slot) const {
     return nodes_[slot];
   }
-  /// Creation slot of `id`; throws std::out_of_range for unknown ids.
-  [[nodiscard]] std::size_t slot_of(NodeId id) const;
+  /// Creation slot of `id` (which is `id` itself); throws std::out_of_range
+  /// for unknown ids.
+  [[nodiscard]] std::size_t slot_of(NodeId id) const {
+    if (id >= nodes_.size()) throw std::out_of_range("unknown node id");
+    return static_cast<std::size_t>(id);
+  }
 
   [[nodiscard]] std::span<const NodeId> live_ids() const { return live_ids_; }
   [[nodiscard]] std::size_t live_count() const { return live_ids_.size(); }
@@ -78,27 +88,28 @@ class NodeTable {
   /// state (restore targets a clean table).
   void clear();
 
-  /// Re-creates one node record during a restore, in creation order. Ids
-  /// must be strictly increasing across calls (creation order is the
-  /// snapshot's on-disk order). The node's rng streams and agent are left
-  /// default — the snapshot reader installs them afterwards — and live-set
-  /// membership is NOT established here; finish_restore() installs the
-  /// recorded live order. Throws std::invalid_argument on out-of-order ids.
+  /// Re-creates one node record during a restore, in creation order: `id`
+  /// must equal size() (ids are creation slots). The node's rng streams and
+  /// agent are left default — the snapshot reader installs them afterwards —
+  /// and live-set membership is NOT established here; finish_restore()
+  /// installs the recorded live order. Throws std::invalid_argument when
+  /// `id != size()`.
   Node& restore_node(NodeId id, stats::Value attribute, Round birth_round,
                      bool alive);
 
   /// Installs the live-id order (history-dependent: kill() swaps with the
-  /// back, so it cannot be derived from the records) and the id counter.
-  /// Every entry must name a distinct node marked alive by restore_node, and
-  /// every alive node must appear; throws std::invalid_argument otherwise.
-  void finish_restore(std::span<const NodeId> live_order, NodeId next_id);
+  /// back, so it cannot be derived from the records). Every entry must name
+  /// a distinct node marked alive by restore_node, and every alive node must
+  /// appear; throws std::invalid_argument otherwise.
+  void finish_restore(std::span<const NodeId> live_order);
 
  private:
-  std::vector<Node> nodes_;                        // Indexed by creation order.
-  std::unordered_map<NodeId, std::size_t> index_;  // id -> nodes_ slot.
+  static constexpr std::size_t kNotLive =
+      std::numeric_limits<std::size_t>::max();
+
+  std::vector<Node> nodes_;  // Indexed by id (== creation slot).
   std::vector<NodeId> live_ids_;
-  std::unordered_map<NodeId, std::size_t> live_pos_;  // id -> live_ids_ slot.
-  NodeId next_id_ = 0;
+  std::vector<std::size_t> live_pos_;  // id -> live_ids_ slot, or kNotLive.
 };
 
 }  // namespace adam2::host

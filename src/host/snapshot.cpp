@@ -172,15 +172,12 @@ void read_node_table(
   table.clear();
   const std::size_t count = in.length(kMinNodeRecordBytes);
   table.reserve(count);
-  bool have_prev = false;
-  NodeId prev_id = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeId id = in.u64();
-    if (have_prev && id <= prev_id) {
-      throw wire::DecodeError("node ids out of creation order in snapshot");
+    // Ids are creation slots (NodeTable is dense), so record i carries id i.
+    if (in.u64() != i) {
+      throw wire::DecodeError("node id is not its creation slot in snapshot");
     }
-    prev_id = id;
-    have_prev = true;
+    const NodeId id = i;
     const stats::Value attribute = in.i64();
     const Round birth_round = in.u32();
     const bool alive = read_bool(in, "node record");
@@ -205,10 +202,8 @@ void read_node_table(
   std::vector<NodeId> live_order;
   live_order.reserve(live);
   for (std::size_t i = 0; i < live; ++i) live_order.push_back(in.u64());
-  const NodeId next_id =
-      count == 0 ? 0 : table.by_slot(table.size() - 1).id + 1;
   try {
-    table.finish_restore(live_order, next_id);
+    table.finish_restore(live_order);
   } catch (const std::invalid_argument& error) {
     throw wire::DecodeError(std::string("snapshot live set invalid: ") +
                             error.what());

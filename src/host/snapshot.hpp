@@ -46,7 +46,9 @@ namespace adam2::host::snapshot {
 
 /// 'A' '2' 'S' 'N' as little-endian bytes on disk.
 inline constexpr std::uint32_t kMagic = 0x4e533241U;
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Version 2: node records carry id == creation slot, and the Cyclon overlay
+/// encodes its views densely per id slot (DESIGN.md §12).
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Thrown on the *encode* side only (e.g. an agent type without snapshot
 /// support). Decode-side rejection is always wire::DecodeError.
@@ -93,8 +95,8 @@ void write_string(wire::Writer& out, std::string_view text);
 /// Writes the kSectionNodes payload for `table` into an open section:
 /// every node record in creation order (id, attribute, birth round, alive
 /// flag, traffic, all three stream states, and — for live nodes — the
-/// agent's state blob via NodeAgent::save_state), then the id counter and
-/// the explicit live-id order (history-dependent, cannot be re-derived).
+/// agent's state blob via NodeAgent::save_state), then the explicit live-id
+/// order (history-dependent, cannot be re-derived). Record i carries id i.
 /// Throws SnapshotError when a live agent does not support snapshotting.
 void write_node_table(wire::Writer& out, const NodeTable& table);
 
@@ -102,7 +104,7 @@ void write_node_table(wire::Writer& out, const NodeTable& table);
 /// `make_agent` constructs the replacement agent for a live node *after* the
 /// node's record and streams are installed; the codec then feeds it the
 /// saved state blob via NodeAgent::restore_state. Throws wire::DecodeError
-/// on any malformed input.
+/// on any malformed input, including a record whose id is not its index.
 void read_node_table(
     wire::Reader& in, NodeTable& table,
     const std::function<std::unique_ptr<NodeAgent>(Node&)>& make_agent);

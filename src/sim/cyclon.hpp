@@ -13,8 +13,9 @@
 // neighbour-based interpolation-point bootstrap (§V, §VII-B).
 #pragma once
 
-#include <deque>
-#include <unordered_map>
+#include <cstdint>
+#include <unordered_set>
+#include <vector>
 
 #include "sim/overlay.hpp"
 #include "wire/messages.hpp"
@@ -45,18 +46,47 @@ class CyclonOverlay final : public Overlay {
   [[nodiscard]] const CyclonConfig& config() const { return config_; }
 
   // host::snapshot integration (DESIGN.md §12): kind 2 = Cyclon. Views are
-  // encoded per node in sorted id order; each view's descriptor entries and
-  // value cache keep their stored order (shuffles and the bootstrap consume
-  // them positionally).
+  // encoded densely per id slot behind a presence byte; each view's
+  // descriptor entries and value cache keep their stored order (shuffles and
+  // the bootstrap consume them positionally).
   [[nodiscard]] std::uint32_t snapshot_kind() const override { return 2; }
   void save_state(wire::Writer& out) const override;
   void restore_state(wire::Reader& in) override;
 
  private:
-  struct View {
-    std::vector<wire::NodeDescriptor> entries;
-    std::deque<stats::Value> value_cache;
+  /// Per-id slot header. Views live in id-indexed slabs (DESIGN.md §7.6):
+  /// slot `id` owns rows [id * view_size, +view_size) of rows_ and values
+  /// [id * value_cache_size, +value_cache_size) of ring_.
+  struct SlotHeader {
+    std::uint32_t ring_head = 0;  ///< Oldest cached value's ring position.
+    std::uint32_t ring_size = 0;  ///< Cached values, <= value_cache_size.
+    std::uint8_t entries = 0;     ///< Descriptor rows in use, <= view_size.
+    bool present = false;         ///< The id has a view (added, not removed).
   };
+
+  /// Handle to one id's view in the slabs. Valid until the slabs grow
+  /// (build_initial, add_node, restore_state); shuffles never grow them.
+  struct View {
+    SlotHeader* header;
+    wire::NodeDescriptor* rows;
+    stats::Value* ring;
+
+    [[nodiscard]] std::size_t size() const { return header->entries; }
+    [[nodiscard]] std::span<wire::NodeDescriptor> entries() const {
+      return {rows, header->entries};
+    }
+    void push_back(const wire::NodeDescriptor& d) {
+      rows[header->entries++] = d;
+    }
+    void erase(std::size_t slot);
+  };
+
+  /// Grows the slabs to cover `id` (never ahead of it; vector amortises).
+  void grow_to(NodeId id);
+  [[nodiscard]] View view_at(NodeId id);
+  /// The live descriptor rows of `id`; empty for ids without a view.
+  [[nodiscard]] std::span<const wire::NodeDescriptor> entries_of(
+      NodeId id) const;
 
   /// One shuffle initiated by `id` with its oldest live view entry.
   void shuffle_once(NodeId id, HostView& host, rng::Rng& rng);
@@ -64,15 +94,25 @@ class CyclonOverlay final : public Overlay {
   /// Installs `received` into `view`, replacing sent-away slots (bits set in
   /// `sent_mask`) first, then filling free capacity, never duplicating ids
   /// or storing `self`.
-  void install(NodeId self, View& view,
+  void install(NodeId self, View view,
                std::span<const wire::NodeDescriptor> received,
                std::uint64_t sent_mask);
 
-  void remember_values(View& view,
+  /// Appends the descriptors' attributes to the view's value ring, dropping
+  /// the oldest once value_cache_size are held.
+  void remember_values(View view,
                        std::span<const wire::NodeDescriptor> descriptors);
 
   CyclonConfig config_;
-  std::unordered_map<NodeId, View> views_;
+  std::vector<SlotHeader> headers_;         // One per id slot.
+  std::vector<wire::NodeDescriptor> rows_;  // view_size per id slot.
+  std::vector<stats::Value> ring_;          // value_cache_size per id slot.
+  // The ids with a view, in the iteration order maintain() visits them.
+  // The set receives exactly the insert/erase/reserve/clear/move history the
+  // former unordered_map<NodeId, View> did, so its bucket order — which the
+  // golden replay digests pin — is unchanged. Touched only on join, leave
+  // and restore; walked once per round.
+  std::unordered_set<NodeId> order_;
   // Scratch messages reused across shuffles (hot path: one shuffle per node
   // per round).
   wire::ShuffleMessage request_scratch_;

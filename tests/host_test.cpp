@@ -3,6 +3,8 @@
 // thread-safe traffic ledger.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -84,6 +86,82 @@ TEST(NodeTableTest, SlotOfIsStableAcrossKills) {
   table.kill(2);
   EXPECT_EQ(table.slot_of(4), slot);
   EXPECT_EQ(table.by_slot(slot).id, 4u);
+}
+
+TEST(NodeTableTest, IdsPastTheTableAreUnknown) {
+  NodeTable table;
+  rng::Rng seed_rng(7);
+  for (int i = 0; i < 3; ++i) table.spawn(i, 0, seed_rng);
+  const NodeTable& view = table;
+  for (NodeId id : {NodeId{3}, std::numeric_limits<NodeId>::max()}) {
+    EXPECT_THROW((void)table.at(id), std::out_of_range) << id;
+    EXPECT_THROW((void)view.at(id), std::out_of_range) << id;
+    EXPECT_THROW((void)table.slot_of(id), std::out_of_range) << id;
+    EXPECT_FALSE(table.is_live(id)) << id;
+    EXPECT_FALSE(table.contains(id)) << id;
+  }
+  // record_traffic skips unknown endpoints but still counts the totals.
+  TrafficStats totals;
+  table.record_traffic(0, 3, Channel::kAggregation, 10, totals);
+  table.record_traffic(std::numeric_limits<NodeId>::max(), 1,
+                       Channel::kAggregation, 20, totals);
+  EXPECT_EQ(table.at(0).traffic.on(Channel::kAggregation).bytes_sent, 10u);
+  EXPECT_EQ(table.at(1).traffic.on(Channel::kAggregation).bytes_received, 20u);
+  EXPECT_EQ(table.at(2).traffic.on(Channel::kAggregation).bytes_received, 0u);
+  EXPECT_EQ(totals.on(Channel::kAggregation).bytes_sent, 30u);
+  EXPECT_EQ(totals.on(Channel::kAggregation).messages_received, 2u);
+}
+
+TEST(NodeTableTest, RandomKillsAndSpawnsMatchASetModel) {
+  NodeTable table;
+  rng::Rng seed_rng(11);
+  rng::Rng ops(12);
+  std::set<NodeId> model;
+  for (int i = 0; i < 64; ++i) model.insert(table.spawn(i, 0, seed_rng).id);
+  for (int step = 0; step < 2000; ++step) {
+    if (ops.below(4) == 0) {
+      const NodeId id = table.spawn(step, 0, seed_rng).id;
+      ASSERT_EQ(id, table.size() - 1);  // Ids are creation slots.
+      model.insert(id);
+    } else {
+      // Any id ever handed out, dead ones included (kill is idempotent).
+      const NodeId id = ops.below(table.size());
+      table.kill(id);
+      model.erase(id);
+    }
+    const std::set<NodeId> live(table.live_ids().begin(),
+                                table.live_ids().end());
+    ASSERT_EQ(live.size(), table.live_count()) << "duplicate live id";
+    ASSERT_EQ(live, model) << "step " << step;
+    if (step % 100 == 0) {
+      for (NodeId id = 0; id < table.size(); ++id) {
+        ASSERT_EQ(table.is_live(id), model.count(id) == 1) << id;
+        ASSERT_EQ(table.slot_of(id), id);
+      }
+    }
+  }
+}
+
+TEST(NodeTableTest, RestoreRequiresDenseIds) {
+  NodeTable table;
+  EXPECT_THROW((void)table.restore_node(1, 0, 0, true), std::invalid_argument);
+  (void)table.restore_node(0, 5, 0, true);
+  (void)table.restore_node(1, 6, 0, false);
+  EXPECT_THROW((void)table.restore_node(1, 7, 0, true), std::invalid_argument);
+  EXPECT_THROW((void)table.restore_node(3, 7, 0, true), std::invalid_argument);
+  // The live order may name only alive records, each once.
+  const std::vector<NodeId> dead{1};
+  EXPECT_THROW(table.finish_restore(dead), std::invalid_argument);
+  const std::vector<NodeId> twice{0, 0};
+  EXPECT_THROW(table.finish_restore(twice), std::invalid_argument);
+  const std::vector<NodeId> ok{0};
+  table.finish_restore(ok);
+  EXPECT_TRUE(table.is_live(0));
+  EXPECT_FALSE(table.is_live(1));
+  rng::Rng seed_rng(3);
+  EXPECT_EQ(table.spawn(9, 1, seed_rng).id, 2u);  // Continues after restore.
+  table.kill(0);
+  EXPECT_EQ(table.live_count(), 1u);
 }
 
 // -------------------------------------------------------------------- churn

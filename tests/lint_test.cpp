@@ -273,6 +273,21 @@ TEST(HotPathContainer, FlagsNodeMapsInCore) {
   EXPECT_TRUE(fires(diags, "hot-path-container", 5));
 }
 
+TEST(HotPathContainer, FlagsNodeMapsInNodeTableAndCyclonSlabs) {
+  const std::string text =
+      "#include <unordered_map>\n"
+      "std::unordered_map<unsigned long, unsigned long> index;\n";
+  for (const char* path : {"src/host/registry.hpp", "src/host/registry.cpp",
+                           "src/sim/cyclon.hpp", "src/sim/cyclon.cpp"}) {
+    EXPECT_TRUE(fires(run(path, text), "hot-path-container", 2)) << path;
+  }
+  // The rest of host/ and sim/ is outside the hot-path scope.
+  for (const char* path : {"src/host/snapshot.cpp", "src/sim/engine.cpp",
+                           "src/host/registry_notes.cpp"}) {
+    EXPECT_TRUE(run(path, text).empty()) << path;
+  }
+}
+
 TEST(HotPathContainer, AllowListedColdPathsAndOtherLayersPass) {
   // The annotation records a reviewed cold path.
   EXPECT_TRUE(run("src/core/a.hpp",
@@ -376,6 +391,8 @@ TEST(FixtureCorpus, EachBadFixtureFiresItsRule) {
       {"src/core/r4_unordered_iter.cpp", "unordered-iter", 2},
       {"src/core/r5_confinement.cpp", "confinement", 5},
       {"src/core/r6_hot_path_container.cpp", "hot-path-container", 3},
+      {"src/host/registry.hpp", "hot-path-container", 2},
+      {"src/sim/cyclon.cpp", "hot-path-container", 1},
       {"src/obs/r3_reaches_engines.hpp", "layering", 2},
   };
   for (const auto& expected : kExpected) {
@@ -397,6 +414,7 @@ TEST(FixtureCorpus, SuppressedAndWhitelistedFixturesBehave) {
   // Whitelist and negative control: zero diagnostics.
   EXPECT_TRUE(lint::lint_file(root / "src/runtime/clock_ok.cpp").empty());
   EXPECT_TRUE(lint::lint_file(root / "src/core/clean.cpp").empty());
+  EXPECT_TRUE(lint::lint_file(root / "src/host/ledger.cpp").empty());
   EXPECT_TRUE(lint::lint_file(root / "src/obs/clean.hpp").empty());
 }
 

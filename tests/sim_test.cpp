@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <limits>
 #include <map>
 #include <queue>
 #include <set>
@@ -479,6 +482,184 @@ TEST(CyclonTest, ShuffleTrafficIsAccountedOnOverlayChannel) {
   const auto& overlay_traffic = engine.total_traffic().on(Channel::kOverlay);
   EXPECT_GT(overlay_traffic.messages_sent, 0u);
   EXPECT_EQ(engine.total_traffic().on(Channel::kAggregation).messages_sent, 0u);
+}
+
+
+// ------------------------------------------------------ Cyclon view slabs
+
+/// HostView over a fixed id range for driving a CyclonOverlay directly.
+/// Every attribute read returns a fresh value, so each descriptor the
+/// overlay builds carries a unique attribute and value-cache order errors
+/// cannot hide behind repeated values.
+class CountingHost final : public HostView {
+ public:
+  explicit CountingHost(std::size_t n) : ids_(n) {
+    for (std::size_t i = 0; i < n; ++i) ids_[i] = i;
+  }
+  [[nodiscard]] bool is_live(NodeId id) const override {
+    return id < ids_.size();
+  }
+  [[nodiscard]] stats::Value attribute_of(NodeId) const override {
+    return next_value_++;
+  }
+  [[nodiscard]] Round round() const override { return 0; }
+  [[nodiscard]] std::span<const NodeId> live_ids() const override {
+    return ids_;
+  }
+  void record_traffic(NodeId, NodeId, Channel, std::size_t) override {}
+
+ private:
+  std::vector<NodeId> ids_;
+  mutable stats::Value next_value_ = 1000;
+};
+
+CyclonConfig slab_config(std::size_t cache) {
+  CyclonConfig config;
+  config.view_size = 6;
+  config.shuffle_size = 3;
+  config.value_cache_size = cache;
+  return config;
+}
+
+std::vector<std::byte> saved(const CyclonOverlay& overlay) {
+  wire::Writer out;
+  overlay.save_state(out);
+  return out.take();
+}
+
+TEST(CyclonSlabTest, ValueRingMatchesDequeModelThroughWrapAround) {
+  // The cache size never feeds a draw, so an overlay whose cache cannot
+  // fill exposes the full stream of remembered values; the small overlay's
+  // ring must hold exactly its last kCache values, oldest first — what a
+  // std::deque with push_back/pop_front holds.
+  constexpr std::size_t kNodes = 30;
+  constexpr std::size_t kCache = 7;
+  CountingHost full_host(kNodes);
+  CountingHost ring_host(kNodes);
+  CyclonOverlay full(slab_config(100'000));
+  CyclonOverlay ring(slab_config(kCache));
+  rng::Rng full_rng(31);
+  rng::Rng ring_rng(31);
+  full.build_initial(full_host.live_ids(), full_host, full_rng);
+  ring.build_initial(ring_host.live_ids(), ring_host, ring_rng);
+
+  std::vector<std::size_t> seen(kNodes, 0);  // Stream values fed so far.
+  std::vector<std::deque<stats::Value>> model(kNodes);
+  bool wrapped = false;
+  for (int round = 0; round < 40; ++round) {
+    full.maintain(full_host, full_rng);
+    ring.maintain(ring_host, ring_rng);
+    for (NodeId id = 0; id < kNodes; ++id) {
+      const auto entries = full.neighbors(id).size();
+      ASSERT_EQ(ring.neighbors(id), full.neighbors(id)) << "node " << id;
+      const auto stream = full.known_attribute_values(id, full_host);
+      for (std::size_t i = entries + seen[id]; i < stream.size(); ++i) {
+        model[id].push_back(stream[i]);
+        while (model[id].size() > kCache) {
+          model[id].pop_front();
+          wrapped = true;
+        }
+      }
+      seen[id] = stream.size() - entries;
+      std::vector<stats::Value> expected(stream.begin(),
+                                         stream.begin() + entries);
+      expected.insert(expected.end(), model[id].begin(), model[id].end());
+      ASSERT_EQ(ring.known_attribute_values(id, ring_host), expected)
+          << "node " << id << " round " << round;
+    }
+    if (round % 5 != 4) continue;
+    // save -> restore -> save reproduces the bytes, and the restored ring
+    // (re-based at position 0) reads back in the same order.
+    const auto bytes = saved(ring);
+    CyclonOverlay restored(slab_config(kCache));
+    wire::Reader in(bytes);
+    restored.restore_state(in);
+    ASSERT_EQ(saved(restored), bytes) << "round " << round;
+    for (NodeId id = 0; id < kNodes; ++id) {
+      ASSERT_EQ(restored.known_attribute_values(id, ring_host),
+                ring.known_attribute_values(id, ring_host));
+    }
+  }
+  EXPECT_TRUE(wrapped);
+}
+
+TEST(CyclonSlabTest, ZeroSizedValueCacheKeepsOnlyTheView) {
+  CountingHost host(10);
+  CyclonOverlay overlay(slab_config(0));
+  rng::Rng rng(5);
+  overlay.build_initial(host.live_ids(), host, rng);
+  for (int round = 0; round < 5; ++round) overlay.maintain(host, rng);
+  for (NodeId id = 0; id < 10; ++id) {
+    EXPECT_EQ(overlay.known_attribute_values(id, host).size(),
+              overlay.neighbors(id).size());
+  }
+}
+
+TEST(CyclonSlabTest, ChurnGrowsIdsPastTheInitialSlab) {
+  EngineConfig config = config_with_seed(28);
+  config.churn_rate = 0.05;
+  constexpr std::size_t kInitial = 60;
+  Engine engine(config, iota_values(kInitial), make_cyclon(6, 3),
+                silent_factory(), [](rng::Rng& rng) {
+                  return static_cast<stats::Value>(rng.below(1000));
+                });
+  engine.run_rounds(40);
+  const auto live = engine.live_ids();
+  const NodeId newest = *std::max_element(live.begin(), live.end());
+  ASSERT_GE(newest, 2 * kInitial);  // Several slab growths happened.
+  std::size_t joined = 0;
+  for (NodeId id : live) {
+    const auto neighbors = engine.overlay().neighbors(id);
+    const std::set<NodeId> unique(neighbors.begin(), neighbors.end());
+    EXPECT_LE(neighbors.size(), 6u);
+    EXPECT_EQ(unique.size(), neighbors.size());
+    EXPECT_EQ(unique.count(id), 0u);
+    if (id >= kInitial) {
+      ++joined;
+      EXPECT_FALSE(neighbors.empty()) << "joined node " << id;
+    }
+  }
+  EXPECT_GT(joined, kInitial / 2);
+  // Ids past the highest one ever handed out have no view.
+  rng::Rng rng(1);
+  EXPECT_TRUE(engine.overlay().neighbors(engine.nodes_ever()).empty());
+  EXPECT_FALSE(engine.overlay()
+                   .pick_gossip_target(engine.nodes_ever(), rng)
+                   .has_value());
+}
+
+TEST(CyclonSlabTest, AddNodeFarBeyondTheSlabGrowsIt) {
+  CountingHost host(8);
+  CyclonOverlay overlay(slab_config(16));
+  rng::Rng rng(9);
+  overlay.build_initial(host.live_ids(), host, rng);
+  overlay.add_node(5000, host, rng);
+  EXPECT_FALSE(overlay.neighbors(5000).empty());
+  EXPECT_TRUE(overlay.neighbors(4999).empty());
+  EXPECT_TRUE(overlay.known_attribute_values(4999, host).empty());
+  // Existing views survive the growth.
+  for (NodeId id = 0; id < 8; ++id) EXPECT_FALSE(overlay.neighbors(id).empty());
+}
+
+TEST(CyclonSlabTest, RemovedNodeReadsAsAbsent) {
+  Engine engine(config_with_seed(29), iota_values(40), make_cyclon(),
+                silent_factory(), nullptr);
+  engine.run_rounds(5);
+  ASSERT_FALSE(engine.overlay().neighbors(7).empty());
+  ASSERT_FALSE(engine.overlay().known_attribute_values(7, engine).empty());
+  engine.kill_node(7);
+  rng::Rng rng(2);
+  EXPECT_TRUE(engine.overlay().neighbors(7).empty());
+  EXPECT_FALSE(engine.overlay().pick_gossip_target(7, rng).has_value());
+  EXPECT_TRUE(engine.overlay().known_attribute_values(7, engine).empty());
+  // Never-seen ids read the same way.
+  const NodeId unknown = std::numeric_limits<NodeId>::max();
+  EXPECT_TRUE(engine.overlay().neighbors(unknown).empty());
+  EXPECT_FALSE(engine.overlay().pick_gossip_target(unknown, rng).has_value());
+  EXPECT_TRUE(engine.overlay().known_attribute_values(unknown, engine).empty());
+  // The remaining population keeps shuffling around the hole.
+  engine.run_rounds(5);
+  EXPECT_TRUE(engine.overlay().neighbors(7).empty());
 }
 
 }  // namespace

@@ -19,9 +19,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -327,6 +329,80 @@ TEST(SnapshotContainerTest, RejectsConfigMismatch) {
   const std::vector<std::byte> before = mismatched.save_snapshot();
   EXPECT_THROW(mismatched.restore_snapshot(bytes), wire::DecodeError);
   EXPECT_EQ(mismatched.save_snapshot(), before);
+}
+
+// -- Hand-built rejections ---------------------------------------------------
+
+/// Offset of section `tag`'s payload inside a snapshot container.
+std::size_t payload_offset(const std::vector<std::byte>& bytes,
+                           std::uint32_t tag) {
+  std::size_t pos = 12;  // Past magic, version and engine kind.
+  while (pos + 8 <= bytes.size() - 8) {
+    wire::Reader header(std::span<const std::byte>(bytes).subspan(pos, 8));
+    const std::uint32_t found = header.u32();
+    const std::uint32_t length = header.u32();
+    if (found == tag) return pos + 8;
+    pos += 8 + length;
+  }
+  ADD_FAILURE() << "section " << tag << " not found";
+  return 0;
+}
+
+/// Overwrites bytes at `offset` with the little-endian encoding `write`
+/// produces (same width in, same width out: section lengths stay valid).
+template <typename Write>
+void poke(std::vector<std::byte>& bytes, std::size_t offset, Write write) {
+  wire::Writer out;
+  write(out);
+  std::copy(out.view().begin(), out.view().end(),
+            bytes.begin() + static_cast<std::ptrdiff_t>(offset));
+}
+
+TEST(SnapshotHandBuiltTest, RejectsNodeIdThatIsNotItsSlot) {
+  Engine engine = make_cycle_engine();
+  engine.run_rounds(4);
+  const std::vector<std::byte> pristine = engine.save_snapshot();
+  const std::size_t nodes = payload_offset(pristine, snap::kSectionNodes);
+  const std::size_t first = nodes + 4;  // Past the record count.
+
+  // Record 0 claiming id 5.
+  std::vector<std::byte> bytes = pristine;
+  poke(bytes, first, [](wire::Writer& out) { out.u64(5); });
+  expect_rejected(reseal(std::move(bytes)), "record 0 with id 5");
+
+  // Record 1 claiming id 2: still increasing, but not dense. Record 0 is a
+  // fixed 312-byte header (id, attribute, birth round, alive flag, traffic,
+  // three rng states), then a length-prefixed agent blob when alive.
+  wire::Reader record(std::span<const std::byte>(pristine).subspan(first));
+  ASSERT_EQ(record.u64(), 0u);
+  (void)record.bytes(8 + 4);
+  ASSERT_EQ(record.u8(), 1u);  // The initial population starts alive.
+  (void)record.bytes(312 - 21);
+  const std::size_t blob = record.length(1);
+  const std::size_t second = first + 312 + 4 + blob;
+  bytes = pristine;
+  wire::Reader id(std::span<const std::byte>(bytes).subspan(second, 8));
+  ASSERT_EQ(id.u64(), 1u);
+  poke(bytes, second, [](wire::Writer& out) { out.u64(2); });
+  expect_rejected(reseal(std::move(bytes)), "record 1 with id 2");
+}
+
+TEST(SnapshotHandBuiltTest, RejectsOverlayViewFarBeyondTheTable) {
+  Engine engine = make_cycle_engine();
+  engine.run_rounds(4);
+  const std::vector<std::byte> pristine = engine.save_snapshot();
+  // Overlay payload: u32 kind, three u64 config words, u32 view slot count.
+  const std::size_t slots =
+      payload_offset(pristine, snap::kSectionOverlay) + 4 + 3 * 8;
+  wire::Reader count(std::span<const std::byte>(pristine).subspan(slots, 4));
+  ASSERT_EQ(count.u32(), engine.nodes_ever());
+  for (std::uint32_t claimed : {std::uint32_t{1} << 20, std::uint32_t{1} << 31,
+                                std::numeric_limits<std::uint32_t>::max()}) {
+    std::vector<std::byte> bytes = pristine;
+    poke(bytes, slots, [claimed](wire::Writer& out) { out.u32(claimed); });
+    expect_rejected(reseal(std::move(bytes)),
+                    "overlay claiming " + std::to_string(claimed) + " slots");
+  }
 }
 
 // -- Mutant corpus -----------------------------------------------------------

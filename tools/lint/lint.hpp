@@ -96,8 +96,10 @@ struct Options {
                                                     "src/runtime/"};
 
   /// Logical-path prefixes forming the gossip hot path, where node-based
-  /// std:: maps are rejected (R6 hot-path-container).
-  std::vector<std::string> hot_path_prefixes = {"src/core/"};
+  /// std:: maps are rejected (R6 hot-path-container): the protocol core, the
+  /// dense node table and the id-indexed Cyclon view slabs.
+  std::vector<std::string> hot_path_prefixes = {
+      "src/core/", "src/host/registry.", "src/sim/cyclon."};
 
   Options();
 };
