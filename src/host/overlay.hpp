@@ -8,6 +8,7 @@
 // shared bootstrap policy — can use an overlay without depending on sim.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -67,6 +68,13 @@ class Overlay {
   /// consume the reader completely (expect_done) and commit only after the
   /// full parse succeeds, so a rejected blob leaves the overlay untouched.
   virtual void restore_state(wire::Reader& /*in*/) {}
+  /// The engines' restore entry point: `nodes` is the size of the node table
+  /// restored alongside, an upper bound on the ids an id-indexed overlay may
+  /// cover, so it can reject an oversized blob before allocating for it.
+  /// Default: restore_state(in).
+  virtual void restore_state_bounded(wire::Reader& in, std::size_t /*nodes*/) {
+    restore_state(in);
+  }
 };
 
 }  // namespace adam2::host

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 
 #include "host/types.hpp"
@@ -14,6 +15,9 @@ namespace adam2::host {
 
 class HostView {
  public:
+  /// Marks "no second participant" in a run_units participant list.
+  static constexpr NodeId kNoParticipant = ~NodeId{0};
+
   virtual ~HostView() = default;
 
   [[nodiscard]] virtual bool is_live(NodeId id) const = 0;
@@ -24,6 +28,18 @@ class HostView {
   /// Records one message of `bytes` bytes from `sender` to `receiver`.
   virtual void record_traffic(NodeId sender, NodeId receiver, Channel channel,
                               std::size_t bytes) = 0;
+
+  /// Runs `unit(p)` for every p in [0, participants.size() / 2). Unit p may
+  /// touch only the state of nodes participants[2p] and participants[2p+1]
+  /// (kNoParticipant: none; an equal pair is one node) and draw only from
+  /// streams it owns. Units sharing a node run in index order; any other
+  /// interleaving is the host's choice, so the outcome equals the in-order
+  /// loop's. Default: that loop. sim::ParallelEngine spreads the units over
+  /// its workers. Not reentrant: a unit must not call run_units.
+  virtual void run_units(std::span<const NodeId> participants,
+                         const std::function<void(std::size_t)>& unit) {
+    for (std::size_t p = 0; p < participants.size() / 2; ++p) unit(p);
+  }
 };
 
 }  // namespace adam2::host

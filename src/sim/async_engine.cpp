@@ -469,7 +469,8 @@ void AsyncEngine::restore_snapshot(std::span<const std::byte> bytes) {
   if (overlay.u32() != overlay_->snapshot_kind()) {
     throw wire::DecodeError("snapshot overlay kind mismatch");
   }
-  overlay_->restore_state(overlay);  // Transactional (host/overlay.hpp).
+  // Transactional (host/overlay.hpp); ids are bounded by the table.
+  overlay_->restore_state_bounded(overlay, scratch.size());
 
   table_ = std::move(scratch);
   now_ = now;

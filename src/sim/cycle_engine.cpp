@@ -249,7 +249,8 @@ void CycleEngine::restore_snapshot(std::span<const std::byte> bytes) {
   if (overlay.u32() != overlay_->snapshot_kind()) {
     throw wire::DecodeError("snapshot overlay kind mismatch");
   }
-  overlay_->restore_state(overlay);  // Transactional (host/overlay.hpp).
+  // Transactional (host/overlay.hpp); ids are bounded by the table.
+  overlay_->restore_state_bounded(overlay, scratch.size());
 
   table_ = std::move(scratch);
   round_ = round;

@@ -6,8 +6,10 @@
 // Random-stream discipline (the key to parallel determinism):
 //
 //  * the global engine stream (`rng_`) is consumed only in serial phases —
-//    overlay maintenance, exchange-order shuffles, churn victim/attribute
-//    draws, node-stream derivation;
+//    overlay maintenance planning (CyclonOverlay: one order shuffle and one
+//    round seed; its shuffles draw from per-unit streams derived from that
+//    seed), exchange-order shuffles, churn victim/attribute draws,
+//    node-stream derivation;
 //  * each node's agent stream (`Node::rng`) is consumed only inside that
 //    node's agent callbacks;
 //  * each node's control stream (`Node::pick_rng`) is consumed only for
@@ -16,9 +18,10 @@
 //    agent stays silent) followed by that initiator's message-loss draws,
 //    plus bootstrap contact picks at join time.
 //
-// Because no stream is shared between nodes inside a round's exchange phase,
-// an engine may evaluate exchanges in any schedule that preserves the
-// per-node plan order and obtain bit-identical results (see ParallelEngine).
+// Because no stream is shared between nodes inside a round's maintenance or
+// exchange units, an engine may evaluate those units in any schedule that
+// preserves the per-node plan order and obtain bit-identical results
+// (HostView::run_units; see ParallelEngine).
 #pragma once
 
 #include <cstddef>

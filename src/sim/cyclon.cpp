@@ -1,8 +1,10 @@
 #include "sim/cyclon.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace adam2::sim {
@@ -24,7 +26,11 @@ void CyclonOverlay::View::erase(std::size_t slot) {
 
 CyclonOverlay::CyclonOverlay(CyclonConfig config) : config_(config) {
   assert(config_.view_size >= 1);
-  assert(config_.view_size <= 64);  // Slot masks are 64-bit.
+  // Slot masks are 64-bit, and shuffles build their messages in stack
+  // buffers of view_size + 1 descriptors.
+  if (config_.view_size > 64) {
+    throw std::invalid_argument("cyclon: view_size exceeds 64");
+  }
   assert(config_.shuffle_size >= 1);
   assert(config_.shuffle_size <= config_.view_size);
   assert(config_.value_cache_size <= UINT32_MAX);
@@ -55,13 +61,8 @@ void CyclonOverlay::build_initial(std::span<const NodeId> ids,
   headers_.clear();
   rows_.clear();
   ring_.clear();
-  order_.clear();
-  order_.reserve(ids.size());
   if (!ids.empty()) grow_to(*std::max_element(ids.begin(), ids.end()));
-  for (NodeId id : ids) {
-    headers_[id].present = true;
-    order_.insert(id);
-  }
+  for (NodeId id : ids) headers_[id].present = true;
   if (ids.size() < 2) return;
   for (NodeId id : ids) {
     View view = view_at(id);
@@ -81,7 +82,6 @@ void CyclonOverlay::add_node(NodeId id, const HostView& host, rng::Rng& rng) {
   // A (re)joining id starts from an empty view.
   headers_[id] = SlotHeader{};
   headers_[id].present = true;
-  order_.insert(id);
   View view = view_at(id);
   const auto live = host.live_ids();
   if (live.empty()) return;
@@ -107,7 +107,6 @@ void CyclonOverlay::add_node(NodeId id, const HostView& host, rng::Rng& rng) {
 }
 
 void CyclonOverlay::remove_node(NodeId id) {
-  order_.erase(id);
   if (id < headers_.size()) headers_[id] = SlotHeader{};
 }
 
@@ -148,24 +147,54 @@ std::vector<stats::Value> CyclonOverlay::known_attribute_values(
 }
 
 void CyclonOverlay::maintain(HostView& host, rng::Rng& rng) {
-  // Iterate over a stable id snapshot: shuffles mutate views but never join
-  // or leave ids. The snapshot order feeds rng.shuffle and so determines
-  // which draws each node's shuffle consumes; it is deterministic for a
-  // fixed insertion history on a fixed standard library, and the golden
-  // replay digests (tests/golden_replay_test.cpp) are pinned to it — sorting
-  // here would change every digest. Revisit at the next digest re-capture;
-  // until then this is a documented exception (DESIGN.md §10).
-  std::vector<NodeId> ids;
-  ids.reserve(order_.size());
-  // adam2-lint: allow(unordered-iter)
-  for (NodeId id : order_) ids.push_back(id);
-  rng.shuffle(ids);
-  for (NodeId id : ids) {
-    if (host.is_live(id)) shuffle_once(id, host, rng);
+  // Plan, read-only and in one ascending pass over the slab: each present,
+  // live id contacts the first of its oldest entries (aging every entry by
+  // one, as the unit does first, does not change which that is).
+  plan_.clear();
+  for (NodeId id = 0; id < headers_.size(); ++id) {
+    if (!headers_[id].present || !host.is_live(id)) continue;
+    const auto entries = entries_of(id);
+    NodeId target = HostView::kNoParticipant;
+    if (!entries.empty()) {
+      target = std::max_element(entries.begin(), entries.end(),
+                                [](const NodeDescriptor& a,
+                                   const NodeDescriptor& b) {
+                                  return a.age < b.age;
+                                })
+                   ->id;
+      if (host.is_live(target) &&
+          (target >= headers_.size() || !headers_[target].present)) {
+        throw std::out_of_range("cyclon: live shuffle target has no view");
+      }
+    }
+    plan_.push_back({id, target});
   }
+  // The global stream: the shuffle order, then one seed for the units'
+  // streams.
+  rng.shuffle(plan_);
+  const std::uint64_t round_seed = rng();
+
+  participants_.resize(2 * plan_.size());
+  for (std::size_t p = 0; p < plan_.size(); ++p) {
+    const NodeId target = plan_[p].target;
+    participants_[2 * p] = plan_[p].id;
+    participants_[2 * p + 1] =
+        target != HostView::kNoParticipant && host.is_live(target)
+            ? target
+            : HostView::kNoParticipant;
+  }
+  host.run_units(participants_, [&](std::size_t p) {
+    shuffle_once(plan_[p],
+                 participants_[2 * p + 1] != HostView::kNoParticipant, host,
+                 round_seed);
+  });
 }
 
 namespace {
+
+/// Descriptors one shuffle message can carry: a full view plus the sender's
+/// self-descriptor.
+constexpr std::size_t kMaxShuffleDescriptors = 64 + 1;
 
 /// Picks `want` distinct random slots out of [0, size) in addition to the
 /// bits already set in `mask`. Rejection sampling on a 64-bit slot mask —
@@ -183,45 +212,48 @@ std::uint64_t pick_slots(std::uint64_t mask, std::size_t size,
 
 }  // namespace
 
-void CyclonOverlay::shuffle_once(NodeId id, HostView& host, rng::Rng& rng) {
+void CyclonOverlay::shuffle_once(const PlannedShuffle& planned,
+                                 bool target_live, HostView& host,
+                                 std::uint64_t round_seed) {
+  // A view empty at planning time sits the round out, even if an earlier
+  // unit has since filled it.
+  if (planned.target == HostView::kNoParticipant) return;
+  const NodeId id = planned.id;
+  const NodeId target = planned.target;
   View view = view_at(id);
-  if (view.size() == 0) return;
-
   for (NodeDescriptor& d : view.entries()) ++d.age;
 
-  // Contact the oldest entry (Cyclon's tail-swap rule).
-  const auto entries = view.entries();
-  const auto oldest = std::max_element(
-      entries.begin(), entries.end(),
-      [](const NodeDescriptor& a, const NodeDescriptor& b) {
-        return a.age < b.age;
-      });
-  const NodeId target = oldest->id;
-  const auto oldest_slot = static_cast<std::size_t>(oldest - entries.begin());
-  if (!host.is_live(target)) {
-    view.erase(oldest_slot);  // Evict the dead entry; retry next round.
+  // The planned target's entry, unless an earlier unit replaced it.
+  std::size_t target_slot = 0;
+  while (target_slot < view.size() && view.rows[target_slot].id != target) {
+    ++target_slot;
+  }
+  const bool kept = target_slot < view.size();
+  if (!target_live) {
+    if (kept) view.erase(target_slot);  // Evict the dead entry.
     return;
   }
-  if (target >= headers_.size() || !headers_[target].present) {
-    throw std::out_of_range("cyclon: live shuffle target has no view");
-  }
 
-  // Send the oldest entry plus shuffle_size - 1 random others, and a fresh
-  // self-descriptor.
-  const std::size_t extra =
-      std::min(config_.shuffle_size - 1, view.size() - 1);
+  // The unit's own stream: stateless, keyed by round seed and initiator.
+  std::uint64_t material = round_seed ^ (id * 0x9e3779b97f4a7c15ULL);
+  rng::Rng rng(rng::split_mix64(material));
+
+  // Send a fresh self-descriptor, the target's entry while it is still
+  // held, and random others up to shuffle_size entries.
+  const std::size_t sent = std::min(config_.shuffle_size, view.size());
   const std::uint64_t sent_mask =
-      pick_slots(1ULL << oldest_slot, view.size(), extra, rng);
-
-  wire::ShuffleMessage& request = request_scratch_;
-  request.type = wire::MessageType::kShuffleRequest;
-  request.sender = id;
-  request.descriptors.clear();
-  request.descriptors.push_back({id, 0, host.attribute_of(id)});
+      pick_slots(kept ? 1ULL << target_slot : 0, view.size(),
+                 sent - (kept ? 1 : 0), rng);
+  std::array<NodeDescriptor, kMaxShuffleDescriptors> request;
+  std::size_t request_size = 0;
+  request[request_size++] = {id, 0, host.attribute_of(id)};
   for (std::size_t slot = 0; slot < view.size(); ++slot) {
-    if ((sent_mask >> slot) & 1) request.descriptors.push_back(view.rows[slot]);
+    if ((sent_mask >> slot) & 1) {
+      request[request_size++] = view.rows[slot];
+    }
   }
-  host.record_traffic(id, target, Channel::kOverlay, request.encoded_size());
+  host.record_traffic(id, target, Channel::kOverlay,
+                      wire::ShuffleMessage::encoded_size(request_size));
 
   // Responder builds its reply from a random subset of its own view.
   View peer_view = view_at(target);
@@ -231,22 +263,25 @@ void CyclonOverlay::shuffle_once(NodeId id, HostView& host, rng::Rng& rng) {
       peer_view.size() == 0
           ? 0
           : pick_slots(0, peer_view.size(), peer_count, rng);
-  wire::ShuffleMessage& response = response_scratch_;
-  response.type = wire::MessageType::kShuffleResponse;
-  response.sender = target;
-  response.descriptors.clear();
+  std::array<NodeDescriptor, kMaxShuffleDescriptors> response;
+  std::size_t response_size = 0;
   for (std::size_t slot = 0; slot < peer_view.size(); ++slot) {
     if ((peer_mask >> slot) & 1) {
-      response.descriptors.push_back(peer_view.rows[slot]);
+      response[response_size++] = peer_view.rows[slot];
     }
   }
-  host.record_traffic(target, id, Channel::kOverlay, response.encoded_size());
+  host.record_traffic(target, id, Channel::kOverlay,
+                      wire::ShuffleMessage::encoded_size(response_size));
 
-  remember_values(peer_view, request.descriptors);
-  remember_values(view, response.descriptors);
+  const std::span<const NodeDescriptor> request_span(request.data(),
+                                                     request_size);
+  const std::span<const NodeDescriptor> response_span(response.data(),
+                                                      response_size);
+  remember_values(peer_view, request_span);
+  remember_values(view, response_span);
 
-  install(target, peer_view, request.descriptors, peer_mask);
-  install(id, view, response.descriptors, sent_mask);
+  install(target, peer_view, request_span, peer_mask);
+  install(id, view, response_span, sent_mask);
 }
 
 void CyclonOverlay::install(NodeId self, View view,
@@ -313,17 +348,25 @@ void CyclonOverlay::save_state(wire::Writer& out) const {
 }
 
 void CyclonOverlay::restore_state(wire::Reader& in) {
+  restore_state_bounded(in, std::numeric_limits<std::size_t>::max());
+}
+
+void CyclonOverlay::restore_state_bounded(wire::Reader& in,
+                                          std::size_t nodes) {
   if (in.u64() != config_.view_size || in.u64() != config_.shuffle_size ||
       in.u64() != config_.value_cache_size) {
     throw wire::DecodeError("cyclon overlay config mismatch");
   }
-  // The slot count is bounded by the input (one presence byte per slot), so
-  // an untrusted count can never size the slabs past the bytes it came in.
+  // The slot count is bounded by the input (one presence byte per slot) and
+  // by the node table: slots are node ids, so no blob covers more of them
+  // than the table restored alongside holds.
   const std::size_t slots = in.length(1);
+  if (slots > nodes) {
+    throw wire::DecodeError("cyclon overlay covers more ids than nodes");
+  }
   std::vector<SlotHeader> headers(slots);
   std::vector<wire::NodeDescriptor> rows(slots * config_.view_size);
   std::vector<stats::Value> ring(slots * config_.value_cache_size);
-  std::vector<NodeId> present;
   for (std::size_t slot = 0; slot < slots; ++slot) {
     const std::uint8_t flag = in.u8();
     if (flag > 1) {
@@ -332,7 +375,6 @@ void CyclonOverlay::restore_state(wire::Reader& in) {
     if (flag == 0) continue;
     SlotHeader& header = headers[slot];
     header.present = true;
-    present.push_back(slot);
     const std::size_t entries = in.length(20);
     if (entries > config_.view_size) {
       throw wire::DecodeError("cyclon view exceeds configured capacity");
@@ -356,16 +398,9 @@ void CyclonOverlay::restore_state(wire::Reader& in) {
   // Transactional commit: nothing is mutated until the whole payload parsed
   // (trailing bytes included), so a rejected blob leaves the overlay intact.
   in.expect_done();
-  // Visit order: the former map was rebuilt by reserve(count) plus inserts in
-  // ascending id order, then move-assigned; the golden resume digests pin
-  // the bucket order that history produces.
-  std::unordered_set<NodeId> order;
-  order.reserve(present.size());
-  for (NodeId id : present) order.insert(id);
   headers_ = std::move(headers);
   rows_ = std::move(rows);
   ring_ = std::move(ring);
-  order_ = std::move(order);
 }
 
 }  // namespace adam2::sim

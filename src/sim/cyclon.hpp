@@ -8,13 +8,22 @@
 // sent away. Dead entries are discovered through failed shuffles and evicted,
 // which keeps the overlay connected under churn.
 //
+// A round's shuffles are planned up front and then run as independent units
+// through HostView::run_units (DESIGN.md §7.6). The plan reads the views
+// only: every present, live id, in ascending order, takes the first of its
+// oldest entries as its target; the global stream then shuffles that list
+// and yields one round seed — the only draws maintenance takes from it.
+// Each unit touches its initiator's and (live) target's views alone and
+// draws from a stateless per-unit stream derived from the round seed and
+// the initiator id, so any schedule that keeps units sharing a node in plan
+// order gives the same views, value caches and traffic.
+//
 // Descriptors piggyback the peer's attribute value; every node additionally
 // remembers the most recent `value_cache_size` values it saw, feeding the
 // neighbour-based interpolation-point bootstrap (§V, §VII-B).
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/overlay.hpp"
@@ -52,6 +61,9 @@ class CyclonOverlay final : public Overlay {
   [[nodiscard]] std::uint32_t snapshot_kind() const override { return 2; }
   void save_state(wire::Writer& out) const override;
   void restore_state(wire::Reader& in) override;
+  /// Also rejects a blob covering more id slots than `nodes` before
+  /// allocating for them.
+  void restore_state_bounded(wire::Reader& in, std::size_t nodes) override;
 
  private:
   /// Per-id slot header. Views live in id-indexed slabs (DESIGN.md §7.6):
@@ -88,8 +100,17 @@ class CyclonOverlay final : public Overlay {
   [[nodiscard]] std::span<const wire::NodeDescriptor> entries_of(
       NodeId id) const;
 
-  /// One shuffle initiated by `id` with its oldest live view entry.
-  void shuffle_once(NodeId id, HostView& host, rng::Rng& rng);
+  /// One planned shuffle: `id` contacts `target` (kNoParticipant when its
+  /// view was empty at planning time).
+  struct PlannedShuffle {
+    NodeId id;
+    NodeId target;
+  };
+
+  /// Runs one planned shuffle as a run_units unit; `target_live` is the
+  /// planned target's (phase-frozen) liveness.
+  void shuffle_once(const PlannedShuffle& planned, bool target_live,
+                    HostView& host, std::uint64_t round_seed);
 
   /// Installs `received` into `view`, replacing sent-away slots (bits set in
   /// `sent_mask`) first, then filling free capacity, never duplicating ids
@@ -107,16 +128,10 @@ class CyclonOverlay final : public Overlay {
   std::vector<SlotHeader> headers_;         // One per id slot.
   std::vector<wire::NodeDescriptor> rows_;  // view_size per id slot.
   std::vector<stats::Value> ring_;          // value_cache_size per id slot.
-  // The ids with a view, in the iteration order maintain() visits them.
-  // The set receives exactly the insert/erase/reserve/clear/move history the
-  // former unordered_map<NodeId, View> did, so its bucket order — which the
-  // golden replay digests pin — is unchanged. Touched only on join, leave
-  // and restore; walked once per round.
-  std::unordered_set<NodeId> order_;
-  // Scratch messages reused across shuffles (hot path: one shuffle per node
-  // per round).
-  wire::ShuffleMessage request_scratch_;
-  wire::ShuffleMessage response_scratch_;
+  // maintain() scratch, reused across rounds: the round's plan (shuffled)
+  // and its run_units participant pairs.
+  std::vector<PlannedShuffle> plan_;
+  std::vector<NodeId> participants_;
 };
 
 }  // namespace adam2::sim

@@ -3,9 +3,8 @@
 #include "sim/parallel_engine.hpp"
 
 #include <algorithm>
-#include <array>
-#include <condition_variable>
-#include <mutex>
+#include <stdexcept>
+#include <thread>
 
 namespace adam2::sim {
 
@@ -15,6 +14,15 @@ namespace {
 /// for the duration of a parallel phase; the main thread (and every serial
 /// phase) leaves it null and accumulates into the engine's global totals.
 thread_local host::TrafficStats* tls_totals = nullptr;
+
+/// Spin-wait hint for the predecessor gates.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 
 }  // namespace
 
@@ -36,26 +44,33 @@ TrafficStats& ParallelEngine::totals() {
   return tls_totals != nullptr ? *tls_totals : total_traffic_;
 }
 
+void ParallelEngine::for_chunks(
+    std::size_t count, std::size_t chunk,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  std::atomic<std::size_t> next{0};
+  pool_->run([&](std::size_t worker) {
+    tls_totals = &worker_totals_[worker];
+    for (;;) {
+      const std::size_t begin =
+          next.fetch_add(chunk, std::memory_order_relaxed);
+      if (begin >= count) break;
+      body(begin, std::min(count, begin + chunk));
+    }
+    tls_totals = nullptr;
+  });
+  merge_worker_totals();
+}
+
 void ParallelEngine::parallel_for(std::size_t count,
                                   const std::function<void(std::size_t)>& fn) {
   if (!pool_ || count == 0) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  std::atomic<std::size_t> next{0};
-  const std::size_t chunk =
-      std::max<std::size_t>(1, count / (pool_->size() * 8));
-  pool_->run([&](std::size_t worker) {
-    tls_totals = &worker_totals_[worker];
-    for (;;) {
-      const std::size_t begin = next.fetch_add(chunk);
-      if (begin >= count) break;
-      const std::size_t end = std::min(count, begin + chunk);
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }
-    tls_totals = nullptr;
-  });
-  merge_worker_totals();
+  for_chunks(count, std::max<std::size_t>(1, count / (pool_->size() * 8)),
+             [&](std::size_t begin, std::size_t end) {
+               for (std::size_t i = begin; i < end; ++i) fn(i);
+             });
 }
 
 void ParallelEngine::merge_worker_totals() {
@@ -79,7 +94,8 @@ void ParallelEngine::run_round() {
     });
   }
 
-  // 2. Overlay maintenance — serial (shuffles mutate shared views).
+  // 2. Overlay maintenance — the overlay plans serially and runs its
+  //    shuffles through run_units.
   overlay_->maintain(*this, rng_);
 
   // 3. Plan: initiation order from the global stream (serial, identical to
@@ -95,7 +111,10 @@ void ParallelEngine::run_round() {
   //    slots serially after the phase barrier reproduces the serial engine's
   //    record order exactly.
   if (recorder_ != nullptr) outcomes_.assign(order_.size(), {});
-  run_units();
+  run_units(participants_, [&](std::size_t p) {
+    exchange_with(table_.at(order_[p]), targets_[p],
+                  recorder_ != nullptr ? &outcomes_[p] : nullptr);
+  });
   if (recorder_ != nullptr) {
     for (const obs::ExchangeOutcome& outcome : outcomes_) {
       recorder_->exchange(round_, outcome);
@@ -116,138 +135,92 @@ void ParallelEngine::run_round() {
 
 void ParallelEngine::plan_targets() {
   targets_.resize(order_.size());
+  participants_.resize(2 * order_.size());
   parallel_for(order_.size(), [&](std::size_t p) {
-    Node& initiator = table_.at(order_[p]);
-    targets_[p] = overlay_->pick_gossip_target(order_[p], initiator.pick_rng);
+    const NodeId id = order_[p];
+    const auto target =
+        overlay_->pick_gossip_target(id, table_.at(id).pick_rng);
+    targets_[p] = target;
+    // The target participates when the exchange can reach it. exchange_with
+    // re-checks, so a conservative mismatch could only over-serialise — but
+    // liveness is frozen during the exchange phase, so the check is exact.
+    participants_[2 * p] = id;
+    participants_[2 * p + 1] =
+        target && *target != id && table_.is_live(*target) ? *target
+                                                            : kNoParticipant;
   });
 }
 
-void ParallelEngine::exec_unit(std::uint32_t position) {
-  exchange_with(table_.at(order_[position]), targets_[position],
-                recorder_ != nullptr ? &outcomes_[position] : nullptr);
-}
-
-void ParallelEngine::run_units() {
+void ParallelEngine::run_units(std::span<const NodeId> participants,
+                               const std::function<void(std::size_t)>& unit) {
   if (!pool_) {
-    // Plan order trivially respects the dependency order.
-    for (std::uint32_t p = 0; p < order_.size(); ++p) exec_unit(p);
+    HostView::run_units(participants, unit);
     return;
   }
-  run_units_parallel();
-}
+  const std::size_t count = participants.size() / 2;
+  if (count == 0) return;
+  if (count >= kNoUnit) throw std::length_error("run_units: too many units");
 
-void ParallelEngine::run_units_parallel() {
-  const std::size_t unit_count = order_.size();
-  if (unit_count == 0) return;
-  const std::size_t slot_count = table_.size();
-
-  // Participants per unit: the initiator always; the target when the
-  // exchange can actually reach it. (exchange_with re-checks validity, so a
-  // conservative mismatch here could only over-serialise, never diverge —
-  // but liveness is frozen during this phase, so the check is exact.)
-  unit_slots_.assign(2 * unit_count, kNoSlot);
-  std::vector<std::uint32_t> counts(slot_count, 0);
-  for (std::size_t p = 0; p < unit_count; ++p) {
-    const std::uint32_t initiator_slot =
-        static_cast<std::uint32_t>(table_.slot_of(order_[p]));
-    unit_slots_[2 * p] = initiator_slot;
-    ++counts[initiator_slot];
-    const auto& target = targets_[p];
-    if (target && *target != order_[p] && table_.is_live(*target)) {
-      const std::uint32_t target_slot =
-          static_cast<std::uint32_t>(table_.slot_of(*target));
-      unit_slots_[2 * p + 1] = target_slot;
-      ++counts[target_slot];
+  // Predecessor pass: each unit waits for the previous unit of each of its
+  // participants. last_ is back to all-kNoUnit once the pass is undone; the
+  // pool run publishes preds_ and the cleared done_ flags to the workers.
+  if (last_.size() < table_.size()) last_.resize(table_.size(), kNoUnit);
+  if (preds_.size() < 2 * count) preds_.resize(2 * count);
+  if (done_capacity_ < count) {
+    done_ = std::make_unique<std::atomic<std::uint32_t>[]>(count);
+    done_capacity_ = count;
+  }
+  // Flat slot i is participant i % 2 of unit i / 2; an equal pair counts
+  // its node once.
+  const auto node_at = [&](std::size_t i) {
+    const NodeId id = participants[i];
+    return i % 2 == 1 && id == participants[i - 1] ? kNoParticipant : id;
+  };
+  const auto undo = [&](std::size_t slots) {
+    for (std::size_t i = 0; i < slots; ++i) {
+      const NodeId id = node_at(i);
+      if (id != kNoParticipant) last_[id] = kNoUnit;
     }
+  };
+  for (std::size_t i = 0; i < 2 * count; ++i) {
+    const NodeId id = node_at(i);
+    const auto p = static_cast<std::uint32_t>(i / 2);
+    preds_[i] = kNoUnit;
+    if (id != kNoParticipant) {
+      if (id >= table_.size()) {
+        undo(i);
+        throw std::out_of_range("run_units: participant is not a node");
+      }
+      preds_[i] = last_[id];
+      last_[id] = p;
+    }
+    if (i % 2 == 0) done_[p].store(0, std::memory_order_relaxed);
   }
+  undo(2 * count);
 
-  // Plan-ordered unit list per participant slot (CSR layout). Filling in
-  // ascending p keeps each list sorted by plan position.
-  slot_offsets_.assign(slot_count + 1, 0);
-  for (std::size_t s = 0; s < slot_count; ++s) {
-    slot_offsets_[s + 1] = slot_offsets_[s] + counts[s];
-  }
-  slot_units_.resize(slot_offsets_[slot_count]);
-  slot_cursor_.assign(slot_count, 0);
-  {
-    std::vector<std::uint32_t> fill(slot_offsets_.begin(),
-                                    slot_offsets_.end() - 1);
-    for (std::size_t p = 0; p < unit_count; ++p) {
-      for (int k = 0; k < 2; ++k) {
-        const std::uint32_t s = unit_slots_[2 * p + k];
-        if (s != kNoSlot) slot_units_[fill[s]++] = static_cast<std::uint32_t>(p);
+  const auto await = [this](std::uint32_t pred) {
+    if (pred == kNoUnit) return;
+    for (int spins = 0; done_[pred].load(std::memory_order_acquire) == 0;) {
+      if (spins < 64) {
+        ++spins;
+        cpu_relax();
+      } else {
+        std::this_thread::yield();
       }
     }
-  }
-
-  // A unit is ready when it heads the list of every participant. Start each
-  // unit's gate at its participant count, take one off per list it heads.
-  if (pending_capacity_ < unit_count) {
-    pending_ = std::make_unique<std::atomic<std::uint32_t>[]>(unit_count);
-    pending_capacity_ = unit_count;
-  }
-  for (std::size_t p = 0; p < unit_count; ++p) {
-    const std::uint32_t participants =
-        1 + (unit_slots_[2 * p + 1] != kNoSlot ? 1 : 0);
-    pending_[p].store(participants, std::memory_order_relaxed);
-  }
-  std::vector<std::uint32_t> ready;
-  for (std::size_t s = 0; s < slot_count; ++s) {
-    if (counts[s] == 0) continue;
-    const std::uint32_t head = slot_units_[slot_offsets_[s]];
-    if (pending_[head].fetch_sub(1, std::memory_order_relaxed) == 1) {
-      ready.push_back(head);
+  };
+  // Small chunks keep the claimed window (workers x chunk) narrow, so a
+  // unit rarely finds its predecessor still in flight.
+  const std::size_t chunk =
+      std::clamp<std::size_t>(count / (pool_->size() * 32), 1, 64);
+  for_chunks(count, chunk, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t p = begin; p < end; ++p) {
+      await(preds_[2 * p]);
+      await(preds_[2 * p + 1]);
+      unit(p);
+      done_[p].store(1, std::memory_order_release);
     }
-  }
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::size_t completed = 0;
-
-  pool_->run([&](std::size_t worker) {
-    tls_totals = &worker_totals_[worker];
-    for (;;) {
-      std::uint32_t p = 0;
-      {
-        std::unique_lock lock(mutex);
-        cv.wait(lock,
-                [&] { return completed == unit_count || !ready.empty(); });
-        if (completed == unit_count) break;
-        p = ready.back();
-        ready.pop_back();
-      }
-      exec_unit(p);
-
-      // Advance both participants' lists; a successor unit that is now at
-      // the head of all its lists becomes ready. The acq_rel RMW chain on
-      // its gate (plus the queue mutex) publishes every predecessor's
-      // writes to whichever worker picks it up.
-      std::array<std::uint32_t, 2> fresh{};
-      int fresh_count = 0;
-      for (int k = 0; k < 2; ++k) {
-        const std::uint32_t s = unit_slots_[2 * p + k];
-        if (s == kNoSlot) continue;
-        const std::uint32_t pos = ++slot_cursor_[s];
-        if (slot_offsets_[s] + pos < slot_offsets_[s + 1]) {
-          const std::uint32_t next_unit = slot_units_[slot_offsets_[s] + pos];
-          if (pending_[next_unit].fetch_sub(1, std::memory_order_acq_rel) ==
-              1) {
-            fresh[static_cast<std::size_t>(fresh_count++)] = next_unit;
-          }
-        }
-      }
-      {
-        std::lock_guard lock(mutex);
-        ++completed;
-        for (int i = 0; i < fresh_count; ++i) {
-          ready.push_back(fresh[static_cast<std::size_t>(i)]);
-        }
-        cv.notify_all();
-      }
-    }
-    tls_totals = nullptr;
   });
-  merge_worker_totals();
 }
 
 }  // namespace adam2::sim

@@ -9,32 +9,36 @@
 // Round phases:
 //   1. round start   — parallel: agents only touch their own node's state
 //                      and read immutable-for-the-phase host/overlay state;
-//   2. maintenance   — serial: overlay shuffles mutate shared views;
+//   2. maintenance   — parallel: the overlay plans its shuffles from the
+//                      global stream (CyclonOverlay: one order shuffle and
+//                      one round seed), then hands them to run_units, each
+//                      shuffle drawing from its own per-unit stream;
 //   3. plan          — serial shuffle of the initiation order (global
 //                      stream), then parallel: each initiator's gossip
 //                      target is pre-drawn from its own control stream;
-//   4. exchange      — parallel: one *unit* per initiator (make_request,
-//                      loss draw, handle_request, loss draw,
-//                      handle_response — all state it touches belongs to the
-//                      two participants). Units conflict when they share a
-//                      participant; conflicting units must run in plan
-//                      (shuffle) order to match the serial engine, so each
-//                      node keeps the plan-ordered list of units it
-//                      participates in and a unit becomes ready only when it
-//                      is at the head of all its participants' lists. The
-//                      dependency DAG is fixed by the plan (targets are
-//                      pre-drawn), every unit draws randomness only from its
-//                      initiator's control/agent streams, and global traffic
-//                      counters accumulate into per-worker slots merged at
-//                      the phase barrier — so the outcome is independent of
-//                      the actual interleaving;
+//   4. exchange      — parallel through run_units: one unit per initiator
+//                      (make_request, loss draw, handle_request, loss draw,
+//                      handle_response — all state it touches belongs to
+//                      the two participants; every draw comes from the
+//                      initiator's control/agent streams);
 //   5. churn         — serial (global stream);
 //   6. observers     — serial.
 //
+// The scheduler (run_units) serves phases 2 and 4. Units that share a node
+// must run in index (plan) order to match the serial engine. One O(units)
+// pass records each unit's predecessor at each of its <= 2 participants;
+// workers claim chunks of consecutive indices with one fetch_add, wait on
+// the predecessors' done flags (acquire), run the unit and publish its own
+// flag (release). The lowest unfinished unit always has every predecessor
+// done and belongs to a claimed chunk whose worker is running it, so the
+// schedule cannot deadlock. The dependency DAG is fixed before any unit
+// runs and global traffic counters accumulate into per-worker slots merged
+// at the phase barrier, so the outcome is independent of the interleaving.
+//
 // Concurrency primitives normally live in host/ and runtime/ only
 // (adam2_lint rule `confinement`); this engine is the sanctioned third
-// place — it IS the sharded substrate, and its unit gates (atomics) are
-// the mechanism behind the bit-identical-at-any-thread-count guarantee.
+// place — it IS the sharded substrate, and its predecessor gates (atomics)
+// are the mechanism behind the bit-identical-at-any-thread-count guarantee.
 // adam2-lint: allow-file(confinement)
 #pragma once
 
@@ -43,6 +47,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "host/pool.hpp"
@@ -61,14 +66,24 @@ class ParallelEngine final : public CycleEngine {
 
   void run_round() override;
 
+  /// Dependency-ordered units on the worker pool (see the header comment);
+  /// the in-order loop when single-threaded. Participants must be ids of
+  /// this engine's nodes (std::out_of_range otherwise).
+  void run_units(std::span<const NodeId> participants,
+                 const std::function<void(std::size_t)>& unit) override;
+
   [[nodiscard]] std::size_t threads() const { return threads_; }
 
  protected:
   [[nodiscard]] TrafficStats& totals() override;
 
  private:
-  /// Runs fn(0..count-1) across the pool (chunked work stealing); inline
-  /// when single-threaded. Worker totals slots are bound for the duration.
+  /// Runs body(begin, end) over chunks of consecutive indices in
+  /// [0, count), claimed in ascending order by the pool's workers. Worker
+  /// totals slots are bound for the duration and merged afterwards.
+  void for_chunks(std::size_t count, std::size_t chunk,
+                  const std::function<void(std::size_t, std::size_t)>& body);
+  /// Runs fn(0..count-1) across the pool; inline when single-threaded.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
   /// Merges per-worker traffic accumulators into the global totals
@@ -77,17 +92,16 @@ class ParallelEngine final : public CycleEngine {
   void merge_worker_totals();
 
   void plan_targets();
-  void run_units();
-  void run_units_parallel();
-  void exec_unit(std::uint32_t position);
 
   std::size_t threads_;
   std::unique_ptr<host::WorkerPool> pool_;  // Only when threads_ > 1.
   std::vector<TrafficStats> worker_totals_;
 
-  // Per-round plan: shuffled initiation order and pre-drawn targets.
+  // Per-round plan: shuffled initiation order, pre-drawn targets and the
+  // exchange units' participant pairs (initiator, reachable target).
   std::vector<NodeId> order_;
   std::vector<std::optional<NodeId>> targets_;
+  std::vector<NodeId> participants_;
 
   // Exchange-outcome slots, one per plan position, used only with a recorder
   // attached: workers fill their own unit's slot during the exchange phase
@@ -96,15 +110,15 @@ class ParallelEngine final : public CycleEngine {
   // count (the pool join publishes the writes).
   std::vector<obs::ExchangeOutcome> outcomes_;
 
-  // Exchange scheduler scratch, rebuilt each round (indices are *positions*
-  // in order_; node slots are NodeTable creation slots).
-  static constexpr std::uint32_t kNoSlot = 0xffffffffU;
-  std::vector<std::uint32_t> unit_slots_;    // 2 per unit: initiator, target.
-  std::vector<std::uint32_t> slot_offsets_;  // per-slot prefix into slot_units_.
-  std::vector<std::uint32_t> slot_units_;    // plan-ordered unit lists.
-  std::vector<std::uint32_t> slot_cursor_;   // per-slot progress.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> pending_;  // per-unit gate.
-  std::size_t pending_capacity_ = 0;
+  // run_units scratch, kept at its high-water mark across calls. preds_
+  // holds each unit's predecessor at its two participants, last_ (indexed
+  // by node id, kNoUnit between calls) the latest unit seen per node while
+  // the predecessor pass runs, done_ the per-unit completion flags.
+  static constexpr std::uint32_t kNoUnit = 0xffffffffU;
+  std::vector<std::uint32_t> preds_;
+  std::vector<std::uint32_t> last_;
+  std::unique_ptr<std::atomic<std::uint32_t>[]> done_;
+  std::size_t done_capacity_ = 0;
 };
 
 }  // namespace adam2::sim

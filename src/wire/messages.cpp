@@ -384,10 +384,6 @@ std::vector<std::byte> ShuffleMessage::encode() const {
   return w.take();
 }
 
-std::size_t ShuffleMessage::encoded_size() const {
-  return 1 + 8 + 4 + 20 * descriptors.size();
-}
-
 ShuffleMessage ShuffleMessage::decode(std::span<const std::byte> buffer) {
   Reader r(buffer);
   ShuffleMessage m;

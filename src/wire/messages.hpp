@@ -352,7 +352,14 @@ struct ShuffleMessage {
 
   [[nodiscard]] std::vector<std::byte> encode() const;
   [[nodiscard]] static ShuffleMessage decode(std::span<const std::byte> buffer);
-  [[nodiscard]] std::size_t encoded_size() const;
+  [[nodiscard]] std::size_t encoded_size() const {
+    return encoded_size(descriptors.size());
+  }
+  /// Encoded size of a shuffle message carrying `descriptors` descriptors.
+  [[nodiscard]] static constexpr std::size_t encoded_size(
+      std::size_t descriptors) {
+    return 1 + 8 + 4 + 20 * descriptors;
+  }
 
   friend bool operator==(const ShuffleMessage&, const ShuffleMessage&) = default;
 };

@@ -306,12 +306,15 @@ TracedRun run_cycle_traced(std::size_t threads, bool faults) {
 }
 
 // -- Fixtures ----------------------------------------------------------------
-// Captured from the pre-exchange-fabric engines (PR 5 tree). A mismatch means
-// the exchange pipeline consumed different draws, from different streams, or
-// delivered differently — NOT a harmless implementation detail.
+// The async digests were captured from the engines as they were before the
+// exchange fabric existed. The cycle digests were re-captured when Cyclon
+// maintenance became planned, per-unit-stream shuffles (DESIGN.md §7.6),
+// which changes the overlay's trajectory by design. A mismatch means the engines consumed
+// different draws, from different streams, or delivered differently — NOT a
+// harmless implementation detail.
 
-constexpr std::uint64_t kCycleGolden = 17558608976957334404ULL;
-constexpr std::uint64_t kCycleFaultsGolden = 18320294890855426988ULL;
+constexpr std::uint64_t kCycleGolden = 6939297298621560204ULL;
+constexpr std::uint64_t kCycleFaultsGolden = 8454247220214256915ULL;
 constexpr std::uint64_t kAsyncGolden = 16779096996820981177ULL;
 constexpr std::uint64_t kAsyncFaultsGolden = 1727619430864257484ULL;
 

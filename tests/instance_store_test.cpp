@@ -215,14 +215,17 @@ std::uint64_t run_parallel(bool faults, const sim::AgentFactory& factory) {
 }
 
 // -- Pinned digests ----------------------------------------------------------
-// Captured from the pre-InstanceStore tree (std::unordered_map<InstanceId,
-// InstanceState> agent state, PR 7 tip). The arena-backed store must
-// reproduce them bit for bit: gossip payload order, merge arithmetic,
+// First captured from the tree before InstanceStore (agent state in a
+// std::unordered_map<InstanceId, InstanceState>), which the arena-backed
+// store reproduced bit for bit: gossip payload order, merge arithmetic,
 // finalisation order, and every estimate byte are part of the contract.
+// Re-captured when Cyclon maintenance became planned, per-unit-stream
+// shuffles (DESIGN.md §7.6): the runs use a Cyclon overlay, whose trajectory
+// changed by design.
 
-constexpr std::uint64_t kSerialGolden = 2319605973804068649ULL;
-constexpr std::uint64_t kSerialFaultsGolden = 9905811204549867529ULL;
-constexpr std::uint64_t kMultiValueGolden = 11751889519860763852ULL;
+constexpr std::uint64_t kSerialGolden = 17169944369386682279ULL;
+constexpr std::uint64_t kSerialFaultsGolden = 7808758981193997473ULL;
+constexpr std::uint64_t kMultiValueGolden = 342876291081752115ULL;
 
 TEST(InstanceStoreGolden, SerialAdam2RunMatchesPinnedDigest) {
   EXPECT_EQ(run_serial(false, adam2_factory(protocol_config())),

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/evaluation.hpp"
@@ -336,6 +340,235 @@ TEST(ParallelEngineTest, Adam2SystemErrorsAreBitIdenticalAcrossEngines) {
     EXPECT_EQ(serial.avg_err, parallel.avg_err) << threads << " threads";
     EXPECT_EQ(serial.peers, parallel.peers) << threads << " threads";
   }
+}
+
+// -- The run_units scheduler -------------------------------------------------
+
+constexpr NodeId kNone = HostView::kNoParticipant;
+
+/// Random participant pairs over `nodes` node ids: about a fifth of the
+/// units have no second participant and one in twenty names the same node
+/// twice.
+std::vector<NodeId> random_participants(std::size_t units, std::size_t nodes,
+                                        rng::Rng& rng) {
+  std::vector<NodeId> participants(2 * units);
+  for (std::size_t p = 0; p < units; ++p) {
+    participants[2 * p] = rng.below(nodes);
+    const std::uint64_t kind = rng.below(20);
+    participants[2 * p + 1] = kind < 4    ? kNone
+                              : kind == 4 ? participants[2 * p]
+                                          : rng.below(nodes);
+  }
+  return participants;
+}
+
+/// The units touching each node, in index order: what a correct scheduler's
+/// per-node execution logs must read.
+std::vector<std::vector<std::size_t>> index_order_logs(
+    std::span<const NodeId> participants, std::size_t nodes) {
+  std::vector<std::vector<std::size_t>> logs(nodes);
+  for (std::size_t p = 0; p < participants.size() / 2; ++p) {
+    const NodeId a = participants[2 * p];
+    const NodeId b = participants[2 * p + 1];
+    if (a != kNone) logs[a].push_back(p);
+    if (b != kNone && b != a) logs[b].push_back(p);
+  }
+  return logs;
+}
+
+TEST(ParallelEngineSchedulerTest, UnitsSharingANodeRunInIndexOrder) {
+  constexpr std::size_t kNodes = 48;
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    ParallelEngine engine(EngineConfig{}, threads, iota_values(kNodes),
+                          std::make_unique<StaticRandomOverlay>(4),
+                          averaging_factory(), nullptr);
+    rng::Rng rng(0x5c4ed + threads);
+    for (std::size_t units : {0u, 1u, 3u, 97u, 5000u}) {
+      const auto participants = random_participants(units, kNodes, rng);
+      // Plain vectors, written only by units touching the node: a unit that
+      // overtook its predecessor shows up as a wrong log (and as a data race
+      // under ThreadSanitizer).
+      std::vector<std::vector<std::size_t>> logs(kNodes);
+      engine.run_units(participants, [&](std::size_t p) {
+        const NodeId a = participants[2 * p];
+        const NodeId b = participants[2 * p + 1];
+        if (a != kNone) logs[a].push_back(p);
+        if (b != kNone && b != a) logs[b].push_back(p);
+      });
+      EXPECT_EQ(logs, index_order_logs(participants, kNodes))
+          << threads << " threads, " << units << " units";
+    }
+  }
+}
+
+TEST(ParallelEngineSchedulerTest, RejectsParticipantsThatAreNotNodes) {
+  ParallelEngine engine(EngineConfig{}, 4, iota_values(8),
+                        std::make_unique<StaticRandomOverlay>(3),
+                        averaging_factory(), nullptr);
+  std::size_t ran = 0;
+  const std::vector<NodeId> bad = {0, 1, 2, 8};
+  EXPECT_THROW(engine.run_units(bad, [&](std::size_t) { ++ran; }),
+               std::out_of_range);
+  EXPECT_EQ(ran, 0u);
+  // The rejected call left no predecessor behind: a fresh list schedules
+  // as if it were the first.
+  rng::Rng rng(9);
+  const auto participants = random_participants(200, 8, rng);
+  std::vector<std::vector<std::size_t>> logs(8);
+  engine.run_units(participants, [&](std::size_t p) {
+    const NodeId a = participants[2 * p];
+    const NodeId b = participants[2 * p + 1];
+    logs[a].push_back(p);
+    if (b != kNone && b != a) logs[b].push_back(p);
+  });
+  EXPECT_EQ(logs, index_order_logs(participants, 8));
+}
+
+/// HostView over ids [0, n) that runs run_units in a random valid
+/// topological order of the units' per-node dependencies, and keeps the
+/// traffic it is told about per (sender, receiver).
+class ReorderingHost final : public HostView {
+ public:
+  ReorderingHost(std::size_t n, std::uint64_t seed)
+      : live_(n, true), rng_(seed), shuffle_(seed != 0) {
+    for (std::size_t i = 0; i < n; ++i) ids_.push_back(i);
+  }
+
+  void kill(NodeId id) {
+    live_[id] = false;
+    ids_.erase(std::find(ids_.begin(), ids_.end(), id));
+  }
+
+  [[nodiscard]] bool is_live(NodeId id) const override {
+    return id < live_.size() && live_[id];
+  }
+  [[nodiscard]] stats::Value attribute_of(NodeId id) const override {
+    return static_cast<stats::Value>(1000 + 7 * id);
+  }
+  [[nodiscard]] Round round() const override { return 0; }
+  [[nodiscard]] std::span<const NodeId> live_ids() const override {
+    return ids_;
+  }
+  void record_traffic(NodeId sender, NodeId receiver, Channel channel,
+                      std::size_t bytes) override {
+    traffic.push_back({sender, receiver, static_cast<NodeId>(channel),
+                       static_cast<NodeId>(bytes)});
+  }
+
+  void run_units(std::span<const NodeId> participants,
+                 const std::function<void(std::size_t)>& unit) override {
+    const std::size_t count = participants.size() / 2;
+    if (!shuffle_) {
+      HostView::run_units(participants, unit);
+      return;
+    }
+    // Successor lists and in-degrees of the per-node chains, then Kahn's
+    // algorithm taking a uniformly random ready unit each step.
+    std::vector<std::vector<std::size_t>> successors(count);
+    std::vector<std::size_t> indegree(count, 0);
+    std::vector<std::size_t> last(live_.size(), count);
+    for (std::size_t p = 0; p < count; ++p) {
+      for (std::size_t k = 0; k < 2; ++k) {
+        const NodeId id = participants[2 * p + k];
+        if (id == kNone || (k == 1 && id == participants[2 * p])) continue;
+        if (last[id] != count) {
+          successors[last[id]].push_back(p);
+          ++indegree[p];
+        }
+        last[id] = p;
+      }
+    }
+    std::vector<std::size_t> ready;
+    for (std::size_t p = 0; p < count; ++p) {
+      if (indegree[p] == 0) ready.push_back(p);
+    }
+    while (!ready.empty()) {
+      const std::size_t pick = rng_.below(ready.size());
+      const std::size_t p = ready[pick];
+      ready[pick] = ready.back();
+      ready.pop_back();
+      out_of_order |= p != ran_++;
+      unit(p);
+      for (std::size_t next : successors[p]) {
+        if (--indegree[next] == 0) ready.push_back(next);
+      }
+    }
+    ran_ = 0;
+  }
+
+  /// (sender, receiver, channel, bytes) per recorded message, in call order.
+  std::vector<std::array<NodeId, 4>> traffic;
+  /// Whether some unit ran before a lower-indexed one.
+  bool out_of_order = false;
+
+ private:
+  std::vector<bool> live_;
+  std::vector<NodeId> ids_;
+  rng::Rng rng_;
+  bool shuffle_;
+  std::size_t ran_ = 0;
+};
+
+/// Per-(sender, receiver) byte and message totals: the order-free content of
+/// a traffic log.
+std::map<std::pair<NodeId, NodeId>, std::pair<std::size_t, std::size_t>>
+traffic_totals(const std::vector<std::array<NodeId, 4>>& log) {
+  std::map<std::pair<NodeId, NodeId>, std::pair<std::size_t, std::size_t>> out;
+  for (const auto& [sender, receiver, channel, bytes] : log) {
+    EXPECT_EQ(channel, static_cast<NodeId>(Channel::kOverlay));
+    auto& slot = out[{sender, receiver}];
+    slot.first += bytes;
+    ++slot.second;
+  }
+  return out;
+}
+
+TEST(ParallelEngineSchedulerTest, CyclonUnitsInAnyValidOrderMatchInOrderRun) {
+  constexpr std::size_t kNodes = 120;
+  CyclonConfig config;
+  config.view_size = 10;
+  config.shuffle_size = 4;
+  config.value_cache_size = 16;
+  ReorderingHost in_order(kNodes, 0);
+  ReorderingHost reordered(kNodes, 0xd06);
+  CyclonOverlay a(config);
+  CyclonOverlay b(config);
+  rng::Rng rng_a(41);
+  rng::Rng rng_b(41);
+  a.build_initial(in_order.live_ids(), in_order, rng_a);
+  b.build_initial(reordered.live_ids(), reordered, rng_b);
+
+  const auto saved = [](const CyclonOverlay& overlay) {
+    wire::Writer out;
+    overlay.save_state(out);
+    return out.take();
+  };
+  for (int round = 0; round < 12; ++round) {
+    if (round == 3) {
+      // Departures leave dead entries behind: later rounds plan shuffles
+      // with dead targets, whose units evict instead of exchanging.
+      for (NodeId id = 0; id < kNodes; id += 9) {
+        in_order.kill(id);
+        reordered.kill(id);
+        a.remove_node(id);
+        b.remove_node(id);
+      }
+    }
+    a.maintain(in_order, rng_a);
+    b.maintain(reordered, rng_b);
+    ASSERT_EQ(saved(a), saved(b)) << "round " << round;
+    ASSERT_EQ(traffic_totals(in_order.traffic),
+              traffic_totals(reordered.traffic))
+        << "round " << round;
+    for (NodeId id = 0; id < kNodes; ++id) {
+      ASSERT_EQ(a.neighbors(id), b.neighbors(id));
+      ASSERT_EQ(a.known_attribute_values(id, in_order),
+                b.known_attribute_values(id, reordered));
+    }
+  }
+  // The reordering host did exercise orders other than the index order.
+  EXPECT_TRUE(reordered.out_of_order);
+  EXPECT_FALSE(in_order.out_of_order);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <map>
 #include <queue>
 #include <set>
+#include <stdexcept>
 
 #include "sim/cyclon.hpp"
 #include "sim/engine.hpp"
@@ -660,6 +661,15 @@ TEST(CyclonSlabTest, RemovedNodeReadsAsAbsent) {
   // The remaining population keeps shuffling around the hole.
   engine.run_rounds(5);
   EXPECT_TRUE(engine.overlay().neighbors(7).empty());
+}
+
+TEST(CyclonSlabTest, ViewsLargerThanSixtyFourAreRejected) {
+  // 64-bit slot masks and the shuffles' stack message buffers bound views.
+  CyclonConfig config;
+  config.view_size = 64;
+  EXPECT_NO_THROW(CyclonOverlay{config});
+  config.view_size = 65;
+  EXPECT_THROW(CyclonOverlay{config}, std::invalid_argument);
 }
 
 }  // namespace

@@ -405,6 +405,30 @@ TEST(SnapshotHandBuiltTest, RejectsOverlayViewFarBeyondTheTable) {
   }
 }
 
+TEST(SnapshotHandBuiltTest, RejectsAllAbsentOverlayLargerThanTheTable) {
+  // Every byte of this overlay blob is valid on its own: 64 Ki id slots,
+  // each with a canonical "absent" presence byte. Only the bound by the node
+  // table rejects it, before the slabs (~1.5 KB per slot) are allocated.
+  Engine engine = make_cycle_engine();
+  engine.run_rounds(4);
+  const std::vector<std::byte> pristine = engine.save_snapshot();
+  const std::size_t overlay = payload_offset(pristine, snap::kSectionOverlay);
+  wire::Reader length(std::span<const std::byte>(pristine).subspan(overlay - 4));
+  ASSERT_EQ(overlay + length.u32(), pristine.size() - 8)  // The last section.
+      << "overlay section must precede the checksum";
+
+  constexpr std::uint32_t kSlots = 64 * 1024;
+  constexpr std::size_t kHead = 4 + 3 * 8;  // Overlay kind, config words.
+  wire::Writer out;
+  out.bytes(std::span<const std::byte>(pristine).first(overlay - 4));
+  out.u32(static_cast<std::uint32_t>(kHead + 4 + kSlots));
+  out.bytes(std::span<const std::byte>(pristine).subspan(overlay, kHead));
+  out.u32(kSlots);
+  for (std::uint32_t slot = 0; slot < kSlots; ++slot) out.u8(0);
+  out.u64(snap::fnv1a(out.view()));
+  expect_rejected(out.take(), "all-absent overlay of 64 Ki slots");
+}
+
 // -- Mutant corpus -----------------------------------------------------------
 
 constexpr int kMutantsPerCorpus = 10'000;
