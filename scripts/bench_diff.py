@@ -28,7 +28,8 @@ Refreshing baselines (from the repo root, after a Release build):
     ADAM2_BENCH_MICRO_ACCEPT_ONLY=1 ADAM2_BENCH_JSON=bench/baselines \
         ./build/bench/micro_core
     ADAM2_BENCH_N=500 ADAM2_BENCH_PEERS=100 ADAM2_BENCH_THREADS=2 \
-        ADAM2_BENCH_JSON=bench/baselines ./build/bench/fig11_scalability
+        ADAM2_BENCH_HIGHN=1000 ADAM2_BENCH_JSON=bench/baselines \
+        ./build/bench/fig11_scalability
     rm -f bench/baselines/MANIFEST_* bench/baselines/METRICS_*
 """
 import argparse

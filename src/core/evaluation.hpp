@@ -9,8 +9,8 @@
 // deviations below 1e-5, so sampling loses essentially nothing).
 //
 // The evaluators are templates over the hosting engine: both the
-// cycle-driven sim::Engine and the event-driven sim::AsyncEngine expose the
-// required surface (live_ids/node/agent/rng).
+// cycle-driven sim::CycleEngine and the event-driven sim::AsyncEngine expose
+// the required surface (live_ids/node/agent/rng).
 #pragma once
 
 #include <algorithm>

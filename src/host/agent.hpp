@@ -5,7 +5,7 @@
 // request, delivers it to the chosen target's agent, and routes the response
 // back — all as encoded byte buffers, exactly as a deployment would put them
 // on the wire. Agents never touch each other directly, which is what lets the
-// same agent code run under the serial engine, the parallel engine, the
+// same agent code run under the cycle engine at any thread count, the
 // event-driven engine, and the threaded runtimes unchanged.
 #pragma once
 
@@ -44,7 +44,7 @@ struct AgentContext {
 /// until the next callback on the same agent. Substrates either consume the
 /// bytes within the exchange (the cycle engines do — the two participants'
 /// scratches cannot be overwritten while their exchange is in flight, even
-/// under the parallel engine's scheduler, which never runs two units of one
+/// under the cycle engine's scheduler, which never runs two units of one
 /// node concurrently) or copy them into an owned envelope (the event-driven
 /// engine and the socket runtimes, whose messages outlive the callback).
 /// This keeps steady-state exchanges free of heap allocations.

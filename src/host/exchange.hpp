@@ -163,10 +163,10 @@ class Conduit {
                    std::vector<std::byte>& scratch,
                    TrafficStats& counters) const;
 
-  /// The cycle engines' whole exchange: make_request, failed-contact
+  /// The cycle engine's whole exchange: make_request, failed-contact
   /// accounting, both legs through `resolve`, duplicate-copy delivery with
   /// the "reply to the second copy wins" rule, and traffic recording through
-  /// `host` (so sharded engines can reroute totals per worker). Draws only
+  /// `host` (so worker threads can reroute totals per worker). Draws only
   /// from the initiator's control/agent/fault streams and touches only the
   /// two participants plus `counters` — the unit stays parallel-safe.
   /// When `outcome` is non-null it is filled with how far the exchange got

@@ -5,7 +5,7 @@
 // spawn() hands out id == creation slot, so every id lookup is a bounds
 // check plus a vector index (DESIGN.md §7.6). Substrates layer their own
 // scheduling (rounds, events, threads) on top; the bookkeeping that used to
-// be duplicated across Engine / AsyncEngine / Cluster lives here exactly
+// be duplicated across CycleEngine / AsyncEngine / Cluster lives here exactly
 // once.
 #pragma once
 

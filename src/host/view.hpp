@@ -34,7 +34,7 @@ class HostView {
   /// (kNoParticipant: none; an equal pair is one node) and draw only from
   /// streams it owns. Units sharing a node run in index order; any other
   /// interleaving is the host's choice, so the outcome equals the in-order
-  /// loop's. Default: that loop. sim::ParallelEngine spreads the units over
+  /// loop's. Default: that loop. sim::CycleEngine spreads the units over
   /// its workers. Not reentrant: a unit must not call run_units.
   virtual void run_units(std::span<const NodeId> participants,
                          const std::function<void(std::size_t)>& unit) {

@@ -1,7 +1,10 @@
+// Scheduler TU — see the exception note in cycle_engine.hpp.
+// adam2-lint: allow-file(confinement)
 #include "sim/cycle_engine.hpp"
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 
 #include "host/bootstrap.hpp"
 #include "host/churn.hpp"
@@ -11,6 +14,20 @@ namespace adam2::sim {
 namespace {
 
 namespace snap = host::snapshot;
+
+/// Per-thread traffic accumulator binding. Workers point this at their slot
+/// for the duration of a parallel phase; the main thread (and every serial
+/// phase) leaves it null and accumulates into the engine's global totals.
+thread_local host::TrafficStats* tls_totals = nullptr;
+
+/// Spin-wait hint for the predecessor gates.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 
 bool same_plan(const host::FaultPlan& a, const host::FaultPlan& b) {
   return a.drop_rate == b.drop_rate && a.duplicate_rate == b.duplicate_rate &&
@@ -24,7 +41,7 @@ bool same_plan(const host::FaultPlan& a, const host::FaultPlan& b) {
 
 }  // namespace
 
-CycleEngine::CycleEngine(EngineConfig config,
+CycleEngine::CycleEngine(EngineConfig config, std::size_t threads,
                          std::vector<stats::Value> initial_attributes,
                          std::unique_ptr<Overlay> overlay,
                          AgentFactory agent_factory,
@@ -34,7 +51,8 @@ CycleEngine::CycleEngine(EngineConfig config,
       rng_(config.seed),
       overlay_(std::move(overlay)),
       agent_factory_(std::move(agent_factory)),
-      attribute_source_(std::move(attribute_source)) {
+      attribute_source_(std::move(attribute_source)),
+      threads_(std::max<std::size_t>(threads, 1)) {
   if (!overlay_) throw std::invalid_argument("engine requires an overlay");
   if (!agent_factory_) {
     throw std::invalid_argument("engine requires an agent factory");
@@ -48,6 +66,205 @@ CycleEngine::CycleEngine(EngineConfig config,
     spawn_node(value, /*bootstrap=*/false);
   }
   overlay_->build_initial(table_.live_ids(), *this, rng_);
+  if (threads_ > 1) {
+    pool_ = std::make_unique<host::WorkerPool>(threads_);
+    worker_totals_.resize(threads_);
+  }
+}
+
+TrafficStats& CycleEngine::totals() {
+  return tls_totals != nullptr ? *tls_totals : total_traffic_;
+}
+
+void CycleEngine::for_chunks(
+    std::size_t count, std::size_t chunk,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  std::atomic<std::size_t> next{0};
+  pool_->run([&](std::size_t worker) {
+    tls_totals = &worker_totals_[worker];
+    for (;;) {
+      const std::size_t begin =
+          next.fetch_add(chunk, std::memory_order_relaxed);
+      if (begin >= count) break;
+      body(begin, std::min(count, begin + chunk));
+    }
+    tls_totals = nullptr;
+  });
+  merge_worker_totals();
+}
+
+void CycleEngine::parallel_for(std::size_t count,
+                               const std::function<void(std::size_t)>& fn) {
+  if (!pool_ || count == 0) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  for_chunks(count, std::max<std::size_t>(1, count / (pool_->size() * 8)),
+             [&](std::size_t begin, std::size_t end) {
+               for (std::size_t i = begin; i < end; ++i) fn(i);
+             });
+}
+
+void CycleEngine::merge_worker_totals() {
+  for (TrafficStats& slot : worker_totals_) {
+    total_traffic_ += slot;
+    slot = TrafficStats{};
+  }
+}
+
+void CycleEngine::run_round() {
+  if (recorder_ != nullptr) {
+    recorder_->round_begin(round_, table_.live_count());
+  }
+
+  // 1. Round start for every live agent — parallel: an agent only mutates
+  //    its own node's state; host and overlay reads are const this phase.
+  {
+    const auto live = table_.live_ids();
+    parallel_for(live.size(), [&](std::size_t i) {
+      Node& n = table_.at(live[i]);
+      AgentContext ctx = make_context(*this, *overlay_, n, round_);
+      n.agent->on_round_start(ctx);
+    });
+  }
+
+  // 2. Overlay maintenance — the overlay plans serially and runs its
+  //    shuffles through run_units.
+  overlay_->maintain(*this, rng_);
+
+  // 3. Plan: initiation order from the global stream (serial), then every
+  //    initiator's target from its own control stream (parallel,
+  //    order-free).
+  const auto live = table_.live_ids();
+  order_.assign(live.begin(), live.end());
+  rng_.shuffle(order_);
+  plan_targets();
+
+  // 4. Exchange units in dependency order. With a recorder attached, every
+  //    unit writes its outcome into its own plan-position slot and the
+  //    slots drain in plan order after the phase barrier. A slot whose
+  //    initiator was killed before its turn (by an agent hook calling
+  //    kill_node) keeps the kNoParticipant marker and records nothing.
+  if (recorder_ != nullptr) {
+    outcomes_.assign(order_.size(),
+                     obs::ExchangeOutcome{.initiator = kNoParticipant});
+  }
+  run_units(participants_, [&](std::size_t p) {
+    const NodeId id = order_[p];
+    if (!table_.is_live(id)) return;  // Killed mid-round by an agent hook.
+    conduit_.run_cycle_exchange(*this, *overlay_, table_, round_,
+                                table_.at(id), targets_[p], totals(),
+                                recorder_ != nullptr ? &outcomes_[p] : nullptr);
+  });
+  if (recorder_ != nullptr) {
+    for (const obs::ExchangeOutcome& outcome : outcomes_) {
+      if (outcome.initiator != kNoParticipant) {
+        recorder_->exchange(round_, outcome);
+      }
+    }
+  }
+
+  // 5. Fault-plan crash-restarts (serial; no-op without a plan).
+  apply_crashes();
+
+  // 6. Churn (serial, global stream).
+  apply_churn();
+
+  if (recorder_ != nullptr) {
+    recorder_->round_end(round_, table_.live_count(), table_.size(),
+                         total_traffic_);
+  }
+  ++round_;
+}
+
+void CycleEngine::plan_targets() {
+  targets_.resize(order_.size());
+  participants_.resize(2 * order_.size());
+  parallel_for(order_.size(), [&](std::size_t p) {
+    const NodeId id = order_[p];
+    const auto target =
+        overlay_->pick_gossip_target(id, table_.at(id).pick_rng);
+    targets_[p] = target;
+    // The target participates when the exchange can reach it. The exchange
+    // re-checks, so a conservative mismatch could only over-serialise — but
+    // liveness is frozen during the exchange phase, so the check is exact.
+    participants_[2 * p] = id;
+    participants_[2 * p + 1] =
+        target && *target != id && table_.is_live(*target) ? *target
+                                                            : kNoParticipant;
+  });
+}
+
+void CycleEngine::run_units(std::span<const NodeId> participants,
+                            const std::function<void(std::size_t)>& unit) {
+  if (!pool_) {
+    HostView::run_units(participants, unit);
+    return;
+  }
+  const std::size_t count = participants.size() / 2;
+  if (count == 0) return;
+  if (count >= kNoUnit) throw std::length_error("run_units: too many units");
+
+  // Predecessor pass: each unit waits for the previous unit of each of its
+  // participants. last_ is back to all-kNoUnit once the pass is undone; the
+  // pool run publishes preds_ and the cleared done_ flags to the workers.
+  if (last_.size() < table_.size()) last_.resize(table_.size(), kNoUnit);
+  if (preds_.size() < 2 * count) preds_.resize(2 * count);
+  if (done_capacity_ < count) {
+    done_ = std::make_unique<std::atomic<std::uint32_t>[]>(count);
+    done_capacity_ = count;
+  }
+  // Flat slot i is participant i % 2 of unit i / 2; an equal pair counts
+  // its node once.
+  const auto node_at = [&](std::size_t i) {
+    const NodeId id = participants[i];
+    return i % 2 == 1 && id == participants[i - 1] ? kNoParticipant : id;
+  };
+  const auto undo = [&](std::size_t slots) {
+    for (std::size_t i = 0; i < slots; ++i) {
+      const NodeId id = node_at(i);
+      if (id != kNoParticipant) last_[id] = kNoUnit;
+    }
+  };
+  for (std::size_t i = 0; i < 2 * count; ++i) {
+    const NodeId id = node_at(i);
+    const auto p = static_cast<std::uint32_t>(i / 2);
+    preds_[i] = kNoUnit;
+    if (id != kNoParticipant) {
+      if (id >= table_.size()) {
+        undo(i);
+        throw std::out_of_range("run_units: participant is not a node");
+      }
+      preds_[i] = last_[id];
+      last_[id] = p;
+    }
+    if (i % 2 == 0) done_[p].store(0, std::memory_order_relaxed);
+  }
+  undo(2 * count);
+
+  const auto await = [this](std::uint32_t pred) {
+    if (pred == kNoUnit) return;
+    for (int spins = 0; done_[pred].load(std::memory_order_acquire) == 0;) {
+      if (spins < 64) {
+        ++spins;
+        cpu_relax();
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  };
+  // Small chunks keep the claimed window (workers x chunk) narrow, so a
+  // unit rarely finds its predecessor still in flight.
+  const std::size_t chunk =
+      std::clamp<std::size_t>(count / (pool_->size() * 32), 1, 64);
+  for_chunks(count, chunk, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t p = begin; p < end; ++p) {
+      await(preds_[2 * p]);
+      await(preds_[2 * p + 1]);
+      unit(p);
+      done_[p].store(1, std::memory_order_release);
+    }
+  });
 }
 
 void CycleEngine::record_traffic(NodeId sender, NodeId receiver,
@@ -73,19 +290,9 @@ void CycleEngine::spawn_node(stats::Value attribute, bool bootstrap) {
   host::bootstrap_joiner(stored, table_, *overlay_, *this, round_,
                          total_traffic_);
   // Initial-population spawns happen before a recorder can be attached, so
-  // only churn-in joins (bootstrap) ever reach the trace — on serial and
-  // parallel engines alike (both churn in the same serial phase).
+  // only churn-in joins (bootstrap) ever reach the trace — at any thread
+  // count alike (churn runs in a serial phase).
   if (recorder_ != nullptr) recorder_->node_join(round_, stored.id);
-}
-
-void CycleEngine::exchange_with(Node& initiator,
-                                const std::optional<NodeId>& target,
-                                obs::ExchangeOutcome* outcome) {
-  // The fabric owns the whole pipeline (legacy loss, partitions, fates,
-  // duplicate-delivery policy); this engine contributes only the traffic
-  // accumulator, which the sharded subclass reroutes per worker.
-  conduit_.run_cycle_exchange(*this, *overlay_, table_, round_, initiator,
-                              target, totals(), outcome);
 }
 
 void CycleEngine::apply_crashes() {
@@ -158,22 +365,6 @@ void CycleEngine::kill_node(NodeId id) {
   overlay_->remove_node(id);
   table_.kill(id);
   if (recorder_ != nullptr) recorder_->node_depart(round_, id);
-}
-
-void CycleEngine::finish_round() {
-  // Legacy adapters first (their callbacks may still mutate the engine),
-  // then the recorder captures the settled end-of-round state.
-  for (const Observer& fn : observers_) fn(*this);
-  if (!sinks_.empty()) {
-    const host::RoundSnapshot snapshot{round_, table_.live_count(),
-                                       table_.size(), total_traffic_};
-    for (host::MetricsSink* sink : sinks_) sink->on_round_end(snapshot);
-  }
-  if (recorder_ != nullptr) {
-    recorder_->round_end(round_, table_.live_count(), table_.size(),
-                         total_traffic_);
-  }
-  ++round_;
 }
 
 std::vector<std::byte> CycleEngine::save_snapshot() const {

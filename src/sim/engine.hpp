@@ -1,43 +1,12 @@
-// Cycle-driven gossip simulation engine (PeerSim-equivalent substrate).
-//
-// Execution model per round, matching §IV and PeerSim's cycle-driven mode:
-//   1. every live agent gets on_round_start (TTL bookkeeping, instance
-//      creation);
-//   2. the overlay runs its maintenance (peer-sampling shuffles);
-//   3. every live node, in random order, initiates one gossip exchange with
-//      an overlay-chosen neighbour: request -> response, both as encoded
-//      byte buffers with traffic accounted; dead targets count as failed
-//      contacts; optional message loss can drop either direction;
-//   4. churn replaces a configured fraction of nodes with fresh ones (the
-//      model of §VII-G), each bootstrapped by a live neighbour;
-//   5. registered observers and metrics sinks run (metric probes).
-//
-// Everything is deterministic given the config seed, and — thanks to the
-// per-node stream discipline documented in cycle_engine.hpp — bit-identical
-// to sim::ParallelEngine at any thread count.
+// Former name of the single-threaded cycle engine; new code names
+// sim::CycleEngine (sim/cycle_engine.hpp), which this spelling constructs
+// with its thread-less constructor.
 #pragma once
-
-#include <memory>
-#include <vector>
 
 #include "sim/cycle_engine.hpp"
 
 namespace adam2::sim {
 
-class Engine final : public CycleEngine {
- public:
-  /// Creates `initial_attributes.size()` nodes with those attribute values,
-  /// builds the overlay over them, and instantiates one agent per node.
-  /// `attribute_source` supplies values for churned-in nodes; pass nullptr
-  /// only if churn_rate == 0.
-  Engine(EngineConfig config, std::vector<stats::Value> initial_attributes,
-         std::unique_ptr<Overlay> overlay, AgentFactory agent_factory,
-         AttributeSource attribute_source);
-
-  void run_round() override;
-
- private:
-  std::vector<NodeId> order_scratch_;
-};
+using Engine = CycleEngine;
 
 }  // namespace adam2::sim

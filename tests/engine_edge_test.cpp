@@ -2,9 +2,15 @@
 // overlays, repeated kills, and clamped churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
+#include <vector>
+
 #include "core/system.hpp"
+#include "obs/recorder.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/cyclon.hpp"
-#include "sim/engine.hpp"
 #include "sim/overlay.hpp"
 
 namespace adam2::sim {
@@ -24,8 +30,9 @@ AgentFactory silent_factory() {
 }
 
 TEST(EngineEdgeTest, EmptyPopulationRunsHarmlessly) {
-  Engine engine(EngineConfig{}, {}, std::make_unique<StaticRandomOverlay>(4),
-                silent_factory(), nullptr);
+  CycleEngine engine(EngineConfig{}, {},
+                     std::make_unique<StaticRandomOverlay>(4),
+                     silent_factory(), nullptr);
   engine.run_rounds(3);
   EXPECT_EQ(engine.live_count(), 0u);
   EXPECT_THROW((void)engine.random_live_node(), std::runtime_error);
@@ -80,18 +87,18 @@ TEST(EngineEdgeTest, TwoNodeSystemConverges) {
 }
 
 TEST(EngineEdgeTest, KillNodeTwiceIsIdempotent) {
-  Engine engine(EngineConfig{}, {1, 2, 3},
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                nullptr);
+  CycleEngine engine(EngineConfig{}, {1, 2, 3},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     nullptr);
   engine.kill_node(1);
   engine.kill_node(1);
   EXPECT_EQ(engine.live_count(), 2u);
 }
 
 TEST(EngineEdgeTest, ChurnCountClampsToPopulation) {
-  Engine engine(EngineConfig{}, {1, 2, 3},
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                [](rng::Rng&) { return stats::Value{9}; });
+  CycleEngine engine(EngineConfig{}, {1, 2, 3},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     [](rng::Rng&) { return stats::Value{9}; });
   engine.churn_nodes(100);  // More than exist.
   EXPECT_EQ(engine.live_count(), 3u);
   for (NodeId id : engine.live_ids()) {
@@ -103,27 +110,89 @@ TEST(EngineEdgeTest, ObserverSeesConsistentStateDuringChurn) {
   EngineConfig config;
   config.churn_rate = 0.2;
   config.seed = 5;
-  Engine engine(config, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-                std::make_unique<StaticRandomOverlay>(3), silent_factory(),
-                [](rng::Rng& rng) { return static_cast<stats::Value>(rng.below(50)); });
-  engine.add_observer([](CycleEngine& e) {
+  CycleEngine engine(config, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+                     std::make_unique<StaticRandomOverlay>(3), silent_factory(),
+                     [](rng::Rng& rng) {
+                       return static_cast<stats::Value>(rng.below(50));
+                     });
+  for (int round = 0; round < 10; ++round) {
+    engine.run_round();
     // Live ids must always reference live nodes with agents.
-    for (NodeId id : e.live_ids()) {
-      EXPECT_TRUE(e.is_live(id));
-      (void)e.agent(id);
+    for (NodeId id : engine.live_ids()) {
+      EXPECT_TRUE(engine.is_live(id));
+      (void)engine.agent(id);
     }
-  });
-  engine.run_rounds(10);
+  }
   EXPECT_EQ(engine.live_count(), 10u);
+}
+
+/// Requests every round and logs each initiator; the first request it
+/// answers kills a node that has not initiated yet this round.
+class KillingAgent final : public NodeAgent {
+ public:
+  KillingAgent(std::vector<NodeId>& initiators, std::optional<NodeId>& victim)
+      : initiators_(initiators), victim_(victim) {}
+
+  std::span<const std::byte> make_request(AgentContext& ctx) override {
+    initiators_.push_back(ctx.self);
+    return payload_;
+  }
+  std::span<const std::byte> handle_request(
+      AgentContext& ctx, std::span<const std::byte>) override {
+    if (victim_) return payload_;
+    for (NodeId id : ctx.host.live_ids()) {
+      if (id != ctx.self && std::find(initiators_.begin(), initiators_.end(),
+                                      id) == initiators_.end()) {
+        victim_ = id;
+        break;
+      }
+    }
+    dynamic_cast<CycleEngine&>(ctx.host).kill_node(victim_.value());
+    return payload_;
+  }
+
+ private:
+  std::vector<NodeId>& initiators_;
+  std::optional<NodeId>& victim_;
+  std::array<std::byte, 1> payload_{};
+};
+
+TEST(EngineEdgeTest, NodeKilledMidRoundInitiatesNothing) {
+  std::vector<NodeId> initiators;
+  std::optional<NodeId> victim;
+  CycleEngine engine(EngineConfig{}, 1, {1, 2, 3, 4, 5, 6, 7, 8},
+                     std::make_unique<StaticRandomOverlay>(3),
+                     [&](const AgentContext&) {
+                       return std::make_unique<KillingAgent>(initiators,
+                                                             victim);
+                     },
+                     nullptr);
+  obs::Recorder recorder;
+  engine.set_recorder(&recorder);
+  engine.run_round();
+
+  ASSERT_TRUE(victim.has_value());
+  EXPECT_FALSE(engine.is_live(*victim));
+  EXPECT_EQ(engine.round(), 1u);
+  // Every other node initiated once; the victim never did, and the trace
+  // records exactly the exchanges that ran.
+  EXPECT_EQ(initiators.size(), 7u);
+  EXPECT_EQ(std::count(initiators.begin(), initiators.end(), *victim), 0);
+  std::vector<NodeId> recorded;
+  for (std::size_t i = 0; i < recorder.trace().size(); ++i) {
+    const obs::TraceEvent& event = recorder.trace().at(i);
+    if (event.kind == obs::EventKind::kExchange) recorded.push_back(event.a);
+  }
+  EXPECT_EQ(recorded, initiators);
 }
 
 TEST(EngineEdgeTest, CyclonWithMinimalView) {
   CyclonConfig config;
   config.view_size = 1;
   config.shuffle_size = 1;
-  Engine engine(EngineConfig{}, {1, 2, 3, 4},
-                std::make_unique<CyclonOverlay>(config), silent_factory(),
-                nullptr);
+  CycleEngine engine(EngineConfig{}, {1, 2, 3, 4},
+                     std::make_unique<CyclonOverlay>(config), silent_factory(),
+                     nullptr);
   engine.run_rounds(10);
   for (NodeId id : engine.live_ids()) {
     EXPECT_LE(engine.overlay().neighbors(id).size(), 1u);
@@ -131,8 +200,9 @@ TEST(EngineEdgeTest, CyclonWithMinimalView) {
 }
 
 TEST(EngineEdgeTest, KillingLastLiveNodeLeavesEmptyEngine) {
-  Engine engine(EngineConfig{}, {7}, std::make_unique<StaticRandomOverlay>(2),
-                silent_factory(), nullptr);
+  CycleEngine engine(EngineConfig{}, {7},
+                     std::make_unique<StaticRandomOverlay>(2),
+                     silent_factory(), nullptr);
   engine.kill_node(0);
   EXPECT_EQ(engine.live_count(), 0u);
   EXPECT_TRUE(engine.live_ids().empty());
@@ -146,9 +216,9 @@ TEST(EngineEdgeTest, FullChurnReplacesEveryNodeEachRound) {
   EngineConfig config;
   config.churn_rate = 1.0;
   config.seed = 8;
-  Engine engine(config, {1, 2, 3, 4, 5},
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                [](rng::Rng&) { return stats::Value{77}; });
+  CycleEngine engine(config, {1, 2, 3, 4, 5},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     [](rng::Rng&) { return stats::Value{77}; });
   engine.run_rounds(4);
   // Population size is preserved; every survivor is a replacement.
   EXPECT_EQ(engine.live_count(), 5u);
@@ -168,9 +238,9 @@ TEST(EngineEdgeTest, ChurnRateAboveOneIsClampedToLivePopulation) {
   EngineConfig config;
   config.churn_rate = 1.5;  // Expected replacements: 7.5 of 5 live nodes.
   config.seed = 13;
-  Engine engine(config, {1, 2, 3, 4, 5},
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                [](rng::Rng&) { return stats::Value{31}; });
+  CycleEngine engine(config, {1, 2, 3, 4, 5},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     [](rng::Rng&) { return stats::Value{31}; });
   engine.run_rounds(6);
   // Clamped to a full replacement per round: the population neither shrinks
   // nor grows, and exactly live_count() nodes churn each round.
@@ -210,12 +280,12 @@ TEST(EngineEdgeTest, AttributeSourceReceivesWorkingRng) {
   config.churn_rate = 0.5;
   config.seed = 6;
   bool called = false;
-  Engine engine(config, {1, 2, 3, 4},
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                [&called](rng::Rng& rng) {
-                  called = true;
-                  return static_cast<stats::Value>(rng.range(5, 10));
-                });
+  CycleEngine engine(config, {1, 2, 3, 4},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     [&called](rng::Rng& rng) {
+                       called = true;
+                       return static_cast<stats::Value>(rng.range(5, 10));
+                     });
   engine.run_rounds(3);
   EXPECT_TRUE(called);
   for (NodeId id : engine.live_ids()) {

@@ -282,7 +282,7 @@ TEST(HotPathContainer, FlagsNodeMapsInNodeTableAndCyclonSlabs) {
     EXPECT_TRUE(fires(run(path, text), "hot-path-container", 2)) << path;
   }
   // The rest of host/ and sim/ is outside the hot-path scope.
-  for (const char* path : {"src/host/snapshot.cpp", "src/sim/engine.cpp",
+  for (const char* path : {"src/host/snapshot.cpp", "src/sim/cycle_engine.cpp",
                            "src/host/registry_notes.cpp"}) {
     EXPECT_TRUE(run(path, text).empty()) << path;
   }

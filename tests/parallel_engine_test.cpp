@@ -1,9 +1,8 @@
-// Golden replay: the sharded ParallelEngine must produce bit-identical
-// results to the serial Engine for every seed at every thread count. The
-// tests replay the same configuration on both engines (and on the parallel
-// engine at several thread counts) and compare the full observable state:
-// live membership, per-agent protocol state, attributes, and traffic
-// totals — all exact equality, no tolerances.
+// Golden replay: the cycle engine must produce bit-identical results for
+// every seed at every thread count. The tests replay the same configuration
+// single-threaded and at several thread counts and compare the full
+// observable state: live membership, per-agent protocol state, attributes,
+// and traffic totals — all exact equality, no tolerances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,10 +17,9 @@
 
 #include "core/evaluation.hpp"
 #include "core/system.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/cyclon.hpp"
-#include "sim/engine.hpp"
 #include "sim/overlay.hpp"
-#include "sim/parallel_engine.hpp"
 #include "wire/buffer.hpp"
 
 namespace adam2::sim {
@@ -193,22 +191,22 @@ void expect_identical(CycleEngine& a, CycleEngine& b) {
 }
 
 TEST(ParallelEngineTest, SingleThreadMatchesSerialEngine) {
-  Engine serial(stress_config(), iota_values(300), cyclon(),
-                averaging_factory(), churn_values());
-  ParallelEngine parallel(stress_config(), 1, iota_values(300), cyclon(),
-                          averaging_factory(), churn_values());
+  CycleEngine serial(stress_config(), iota_values(300), cyclon(),
+                     averaging_factory(), churn_values());
+  CycleEngine parallel(stress_config(), 1, iota_values(300), cyclon(),
+                       averaging_factory(), churn_values());
   serial.run_rounds(25);
   parallel.run_rounds(25);
   expect_identical(serial, parallel);
 }
 
 TEST(ParallelEngineTest, AnyThreadCountMatchesSerialEngine) {
-  Engine serial(stress_config(), iota_values(300), cyclon(),
-                averaging_factory(), churn_values());
+  CycleEngine serial(stress_config(), iota_values(300), cyclon(),
+                     averaging_factory(), churn_values());
   serial.run_rounds(20);
   for (std::size_t threads : {2u, 8u}) {
-    ParallelEngine parallel(stress_config(), threads, iota_values(300),
-                            cyclon(), averaging_factory(), churn_values());
+    CycleEngine parallel(stress_config(), threads, iota_values(300),
+                         cyclon(), averaging_factory(), churn_values());
     parallel.run_rounds(20);
     expect_identical(serial, parallel);
   }
@@ -217,31 +215,31 @@ TEST(ParallelEngineTest, AnyThreadCountMatchesSerialEngine) {
 TEST(ParallelEngineTest, StaticOverlayWithoutChurnMatches) {
   EngineConfig config;
   config.seed = 77;
-  Engine serial(config, iota_values(200),
-                std::make_unique<StaticRandomOverlay>(6), averaging_factory(),
-                nullptr);
-  ParallelEngine parallel(config, 4, iota_values(200),
-                          std::make_unique<StaticRandomOverlay>(6),
-                          averaging_factory(), nullptr);
+  CycleEngine serial(config, iota_values(200),
+                     std::make_unique<StaticRandomOverlay>(6),
+                     averaging_factory(), nullptr);
+  CycleEngine parallel(config, 4, iota_values(200),
+                       std::make_unique<StaticRandomOverlay>(6),
+                       averaging_factory(), nullptr);
   serial.run_rounds(30);
   parallel.run_rounds(30);
   expect_identical(serial, parallel);
 }
 
 TEST(ParallelEngineTest, RepeatedParallelRunsAreDeterministic) {
-  ParallelEngine first(stress_config(), 4, iota_values(250), cyclon(),
-                       averaging_factory(), churn_values());
-  ParallelEngine second(stress_config(), 4, iota_values(250), cyclon(),
-                        averaging_factory(), churn_values());
+  CycleEngine first(stress_config(), 4, iota_values(250), cyclon(),
+                    averaging_factory(), churn_values());
+  CycleEngine second(stress_config(), 4, iota_values(250), cyclon(),
+                     averaging_factory(), churn_values());
   first.run_rounds(15);
   second.run_rounds(15);
   expect_identical(first, second);
 }
 
 TEST(ParallelEngineTest, EmptyPopulationRunsHarmlessly) {
-  ParallelEngine engine(EngineConfig{}, 4, {},
-                        std::make_unique<StaticRandomOverlay>(4),
-                        averaging_factory(), nullptr);
+  CycleEngine engine(EngineConfig{}, 4, {},
+                     std::make_unique<StaticRandomOverlay>(4),
+                     averaging_factory(), nullptr);
   engine.run_rounds(3);
   EXPECT_EQ(engine.live_count(), 0u);
 }
@@ -249,44 +247,24 @@ TEST(ParallelEngineTest, EmptyPopulationRunsHarmlessly) {
 TEST(ParallelEngineTest, MoreThreadsThanNodes) {
   EngineConfig config;
   config.seed = 3;
-  Engine serial(config, iota_values(3),
-                std::make_unique<StaticRandomOverlay>(2), averaging_factory(),
-                nullptr);
-  ParallelEngine parallel(config, 8, iota_values(3),
-                          std::make_unique<StaticRandomOverlay>(2),
-                          averaging_factory(), nullptr);
+  CycleEngine serial(config, iota_values(3),
+                     std::make_unique<StaticRandomOverlay>(2),
+                     averaging_factory(), nullptr);
+  CycleEngine parallel(config, 8, iota_values(3),
+                       std::make_unique<StaticRandomOverlay>(2),
+                       averaging_factory(), nullptr);
   serial.run_rounds(10);
   parallel.run_rounds(10);
   expect_identical(serial, parallel);
 }
 
 TEST(ParallelEngineTest, ZeroThreadsMeansSerialExecution) {
-  ParallelEngine engine(EngineConfig{}, 0, iota_values(10),
-                        std::make_unique<StaticRandomOverlay>(3),
-                        averaging_factory(), nullptr);
+  CycleEngine engine(EngineConfig{}, 0, iota_values(10),
+                     std::make_unique<StaticRandomOverlay>(3),
+                     averaging_factory(), nullptr);
   EXPECT_EQ(engine.threads(), 1u);
   engine.run_rounds(2);
   EXPECT_EQ(engine.live_count(), 10u);
-}
-
-TEST(ParallelEngineTest, MetricsSinkSeesEveryRound) {
-  struct Recorder final : host::MetricsSink {
-    std::vector<Round> rounds;
-    std::vector<std::size_t> live;
-    void on_round_end(const host::RoundSnapshot& snapshot) override {
-      rounds.push_back(snapshot.round);
-      live.push_back(snapshot.live_count);
-    }
-  } recorder;
-  ParallelEngine engine(stress_config(), 2, iota_values(50), cyclon(4),
-                        averaging_factory(), churn_values());
-  engine.add_metrics_sink(&recorder);
-  engine.run_rounds(5);
-  ASSERT_EQ(recorder.rounds.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(recorder.rounds[i], i);
-    EXPECT_EQ(recorder.live[i], 50u);
-  }
 }
 
 // Fault replay (ISSUE PR5 satellite): the same FaultPlan seed must produce
@@ -305,14 +283,14 @@ TEST(ParallelEngineTest, FaultScheduleReplaysBitIdenticallyAcrossEngines) {
   config.faults.partition_heal_after = 6;
   config.faults.seed = 0x5eed;
 
-  Engine serial(config, iota_values(300), cyclon(), hardened_factory(),
-                churn_values());
+  CycleEngine serial(config, iota_values(300), cyclon(), hardened_factory(),
+                     churn_values());
   serial.run_rounds(25);
   EXPECT_GT(serial.total_traffic().corrupted_messages, 0u);
   EXPECT_GT(serial.total_traffic().crash_restarts, 0u);
   for (std::size_t threads : {2u, 8u}) {
-    ParallelEngine parallel(config, threads, iota_values(300), cyclon(),
-                            hardened_factory(), churn_values());
+    CycleEngine parallel(config, threads, iota_values(300), cyclon(),
+                         hardened_factory(), churn_values());
     parallel.run_rounds(25);
     expect_identical<HardenedAgent>(serial, parallel);
   }
@@ -379,9 +357,9 @@ std::vector<std::vector<std::size_t>> index_order_logs(
 TEST(ParallelEngineSchedulerTest, UnitsSharingANodeRunInIndexOrder) {
   constexpr std::size_t kNodes = 48;
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ParallelEngine engine(EngineConfig{}, threads, iota_values(kNodes),
-                          std::make_unique<StaticRandomOverlay>(4),
-                          averaging_factory(), nullptr);
+    CycleEngine engine(EngineConfig{}, threads, iota_values(kNodes),
+                       std::make_unique<StaticRandomOverlay>(4),
+                       averaging_factory(), nullptr);
     rng::Rng rng(0x5c4ed + threads);
     for (std::size_t units : {0u, 1u, 3u, 97u, 5000u}) {
       const auto participants = random_participants(units, kNodes, rng);
@@ -402,9 +380,9 @@ TEST(ParallelEngineSchedulerTest, UnitsSharingANodeRunInIndexOrder) {
 }
 
 TEST(ParallelEngineSchedulerTest, RejectsParticipantsThatAreNotNodes) {
-  ParallelEngine engine(EngineConfig{}, 4, iota_values(8),
-                        std::make_unique<StaticRandomOverlay>(3),
-                        averaging_factory(), nullptr);
+  CycleEngine engine(EngineConfig{}, 4, iota_values(8),
+                     std::make_unique<StaticRandomOverlay>(3),
+                     averaging_factory(), nullptr);
   std::size_t ran = 0;
   const std::vector<NodeId> bad = {0, 1, 2, 8};
   EXPECT_THROW(engine.run_units(bad, [&](std::size_t) { ++ran; }),
