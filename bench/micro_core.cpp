@@ -10,8 +10,8 @@
 //   * A steady-state Adam2 gossip exchange (make_request -> handle_request ->
 //     handle_response between two live agents) must perform zero heap
 //     allocations, verified with a counting global operator new.
-//   * The zero-copy Adam2MessageView must materialize exactly what
-//     Adam2Message::decode produces for builder-encoded bytes.
+//   * The zero-copy Adam2MessageView must read builder-encoded bytes exactly
+//     as the owning reference decoder (tests/reference/) does.
 //
 // Environment: ADAM2_BENCH_JSON=<dir> writes the acceptance metrics to
 // <dir>/BENCH_micro_core.json; ADAM2_BENCH_MICRO_ACCEPT_ONLY=1 skips the
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/instance.hpp"
 #include "core/instance_store.hpp"
 #include "core/point_selection.hpp"
 #include "core/protocol.hpp"
@@ -40,6 +39,7 @@
 #include "host/agent.hpp"
 #include "host/overlay.hpp"
 #include "host/view.hpp"
+#include "reference/adam2_reference.hpp"
 #include "stats/error_metrics.hpp"
 #include "wire/messages.hpp"
 
@@ -100,12 +100,13 @@ namespace {
 
 using namespace adam2;
 
-core::InstanceState make_state(std::size_t lambda) {
+/// One instance at `lambda` thresholds, started in `store`.
+core::InstanceSlot& make_state(core::InstanceStore& store, std::size_t lambda) {
   std::vector<double> thresholds;
   for (std::size_t i = 0; i < lambda; ++i) {
     thresholds.push_back(static_cast<double>(i) * 10.0);
   }
-  return core::InstanceState::start(
+  return store.start(
       {1, 0}, 0, 25, thresholds, {},
       [](double t) { return 300.0 <= t ? 1.0 : 0.0; }, 300.0, 300.0);
 }
@@ -399,10 +400,10 @@ struct StoreAdapter {
 };
 
 /// The pre-arena agent layout, ingredient for ingredient:
-/// std::unordered_map of owning InstanceState plus an insertion-order id
-/// vector walked for every traversal.
+/// std::unordered_map of the owning reference::Instance plus an
+/// insertion-order id vector walked for every traversal.
 struct MapAdapter {
-  std::unordered_map<wire::InstanceId, core::InstanceState,
+  std::unordered_map<wire::InstanceId, reference::Instance,
                      wire::InstanceIdHash>
       map;
   std::vector<wire::InstanceId> order;
@@ -410,13 +411,15 @@ struct MapAdapter {
   void start(wire::InstanceId id, const std::vector<double>& thresholds,
              const std::vector<double>& verification,
              const core::ContributionFn& fn) {
-    map.emplace(id, core::InstanceState::start(id, id.seq, 25, thresholds,
+    map.emplace(id, reference::Instance::start(id, id.seq, 25, thresholds,
                                                verification, fn, 300.0,
                                                300.0));
     order.push_back(id);
   }
   void encode(wire::Adam2MessageBuilder& builder) const {
-    for (const wire::InstanceId id : order) builder.add(map.find(id)->second);
+    for (const wire::InstanceId id : order) {
+      builder.add(map.find(id)->second.ref());
+    }
   }
   void merge(const wire::InstancePayloadView& payload) {
     auto it = map.find(payload.id);
@@ -558,25 +561,21 @@ void accept_store_speedup(int& failures) {
   bench::report_metric("store_speedup_merge_lookup", speedup);
 }
 
-/// The zero-copy view of builder-encoded bytes must materialize exactly what
-/// the owning decoder produces.
+/// The zero-copy view of builder-encoded bytes must read exactly what the
+/// owning reference decoder produces, and that must re-encode to the bytes.
 void accept_wire_view(int& failures) {
-  wire::Adam2Message message;
-  message.type = wire::MessageType::kAdam2Request;
-  message.sender = 7;
-  auto s = make_state(50);
-  message.instances = {s.to_payload()};
-
+  core::InstanceStore store;
   wire::Writer scratch;
-  wire::Adam2MessageBuilder builder(scratch, message.type, message.sender);
-  builder.add(message.instances.front());
+  wire::Adam2MessageBuilder builder(scratch, wire::MessageType::kAdam2Request,
+                                    7);
+  builder.add(make_state(store, 50).ref());
   const auto bytes = builder.finish();
 
-  const wire::Adam2Message owned = wire::Adam2Message::decode(bytes);
-  const wire::Adam2Message viewed =
-      wire::Adam2MessageView::parse(bytes).materialize();
-  check(owned == message && viewed == message,
-        "zero-copy view materializes identically to Adam2Message::decode",
+  const reference::Message owned = reference::Message::decode(bytes);
+  const reference::Message viewed =
+      reference::to_message(wire::Adam2MessageView::parse(bytes));
+  check(owned == viewed && std::ranges::equal(owned.encode(), bytes),
+        "zero-copy view reads identically to the reference decoder",
         failures);
 }
 
@@ -594,9 +593,17 @@ int run_acceptance(const bench::BenchEnv& env) {
 
 // -- Microbenchmarks --------------------------------------------------------
 
+/// One slot averaging a parsed peer view in place, as the exchange does.
 void BM_MergeAverage(benchmark::State& state) {
-  auto a = make_state(static_cast<std::size_t>(state.range(0)));
-  const auto payload = a.to_payload();
+  core::InstanceStore store;
+  core::InstanceSlot& a =
+      make_state(store, static_cast<std::size_t>(state.range(0)));
+  wire::Writer scratch;
+  wire::Adam2MessageBuilder builder(scratch, wire::MessageType::kAdam2Request,
+                                    7);
+  builder.add(a.ref());
+  const auto view = wire::Adam2MessageView::parse(builder.finish());
+  const wire::InstancePayloadView payload = *view.begin();
   for (auto _ : state) {
     a.average_with(payload);
     benchmark::DoNotOptimize(a.weight);
@@ -606,24 +613,10 @@ void BM_MergeAverage(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeAverage)->Arg(10)->Arg(50)->Arg(100);
 
-void BM_WireRoundTrip(benchmark::State& state) {
-  wire::Adam2Message message;
-  message.sender = 7;
-  auto s = make_state(static_cast<std::size_t>(state.range(0)));
-  message.instances = {s.to_payload()};
-  for (auto _ : state) {
-    const auto bytes = message.encode();
-    const auto decoded = wire::Adam2Message::decode(bytes);
-    benchmark::DoNotOptimize(decoded.instances.size());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(message.encoded_size()));
-}
-BENCHMARK(BM_WireRoundTrip)->Arg(10)->Arg(50)->Arg(100);
-
 void BM_WireViewRoundTrip(benchmark::State& state) {
-  auto s = make_state(static_cast<std::size_t>(state.range(0)));
-  const auto payload = s.to_payload();
+  core::InstanceStore store;
+  const wire::InstancePayloadRef payload =
+      make_state(store, static_cast<std::size_t>(state.range(0))).ref();
   wire::Writer scratch;
   std::size_t encoded_size = 0;
   for (auto _ : state) {

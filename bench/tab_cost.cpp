@@ -94,14 +94,18 @@ int main() {
   bench::open_report("tab_cost", env);
   bench::print_banner("Section VII-I: cost evaluation", env);
 
-  // Message size directly from the wire format.
-  wire::Adam2Message message;
-  wire::InstancePayload payload;
-  for (int i = 0; i < 50; ++i) payload.points.push_back({1.0 * i, 0.5});
-  message.instances = {payload};
+  // Message size directly from the wire encoder: one payload, 50 points.
+  std::vector<stats::CdfPoint> points;
+  for (int i = 0; i < 50; ++i) points.push_back({1.0 * i, 0.5});
+  wire::Writer scratch;
+  wire::Adam2MessageBuilder message(scratch, wire::MessageType::kAdam2Request,
+                                    0);
+  wire::InstancePayloadRef payload;
+  payload.points = points;
+  message.add(payload);
   std::printf("\nencoded gossip message size at lambda=50: %zu bytes "
               "(paper: ~800 B)\n",
-              message.encoded_size());
+              message.finish().size());
 
   std::printf("\n## Adam2 traffic per node (lambda=50, 25-round instances)\n");
   bench::print_header("config", {"msg_bytes", "sent_kB", "recv_kB",

@@ -3,35 +3,48 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/point_ops.hpp"
-
 namespace adam2::core {
+namespace {
+
+/// Same element count and bitwise-identical thresholds (the
+/// `mergeable_with` precondition: averaging misaligned sequences would be
+/// meaningless and, with mismatched counts, out of bounds).
+bool same_thresholds(std::span<const stats::CdfPoint> mine,
+                     const wire::PointsView& theirs) {
+  if (mine.size() != theirs.size()) return false;
+  std::size_t i = 0;
+  for (const stats::CdfPoint p : theirs) {
+    if (mine[i++].t != p.t) return false;
+  }
+  return true;
+}
+
+/// The symmetric push-pull step of §IV: f_i <- (f_i + f'_i) / 2 at every
+/// threshold. Precondition: same_thresholds(mine, theirs).
+void average_points(std::span<stats::CdfPoint> mine,
+                    const wire::PointsView& theirs) {
+  assert(mine.size() == theirs.size());
+  std::size_t i = 0;
+  for (const stats::CdfPoint p : theirs) {
+    assert(mine[i].t == p.t);
+    mine[i].f = (mine[i].f + p.f) / 2.0;
+    ++i;
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- InstanceSlot
 
-bool InstanceSlot::mergeable_with(const wire::InstancePayload& other) const {
-  return other.id == id && point_ops::same_thresholds(points(), other.points) &&
-         point_ops::same_thresholds(verification(), other.verification);
-}
-
 bool InstanceSlot::mergeable_with(const wire::InstancePayloadView& other) const {
-  return other.id == id && point_ops::same_thresholds(points(), other.points) &&
-         point_ops::same_thresholds(verification(), other.verification);
-}
-
-void InstanceSlot::average_with(const wire::InstancePayload& other) {
-  assert(other.id == id);
-  point_ops::average_points(points(), other.points);
-  point_ops::average_points(verification(), other.verification);
-  weight = (weight + other.weight) / 2.0;
-  min_value = std::min(min_value, other.min_value);
-  max_value = std::max(max_value, other.max_value);
+  return other.id == id && same_thresholds(points(), other.points) &&
+         same_thresholds(verification(), other.verification);
 }
 
 void InstanceSlot::average_with(const wire::InstancePayloadView& other) {
   assert(other.id == id);
-  point_ops::average_points(points(), other.points);
-  point_ops::average_points(verification(), other.verification);
+  average_points(points(), other.points);
+  average_points(verification(), other.verification);
   weight = (weight + other.weight) / 2.0;
   min_value = std::min(min_value, other.min_value);
   max_value = std::max(max_value, other.max_value);
@@ -113,10 +126,9 @@ InstanceSlot& InstanceStore::start(wire::InstanceId id,
   return slot;
 }
 
-template <typename Payload>
-InstanceSlot& InstanceStore::join_impl(const Payload& payload,
-                                       const ContributionFn& contribution,
-                                       double local_min, double local_max) {
+InstanceSlot& InstanceStore::join(const wire::InstancePayloadView& payload,
+                                  const ContributionFn& contribution,
+                                  double local_min, double local_max) {
   InstanceSlot& slot = emplace_row(payload.id);
   slot.start_round = payload.start_round;
   slot.ttl = payload.ttl;
@@ -137,18 +149,6 @@ InstanceSlot& InstanceStore::join_impl(const Payload& payload,
     slot.verification_.data[i++] = {p.t, contribution(p.t)};
   }
   return slot;
-}
-
-InstanceSlot& InstanceStore::join(const wire::InstancePayloadView& payload,
-                                  const ContributionFn& contribution,
-                                  double local_min, double local_max) {
-  return join_impl(payload, contribution, local_min, local_max);
-}
-
-InstanceSlot& InstanceStore::join(const wire::InstancePayload& payload,
-                                  const ContributionFn& contribution,
-                                  double local_min, double local_max) {
-  return join_impl(payload, contribution, local_min, local_max);
 }
 
 void InstanceStore::erase_bucket(std::size_t hole) {

@@ -1,9 +1,18 @@
-// Arena-backed container for a node's live aggregation instances.
+// The per-peer state of every aggregation instance a node takes part in
+// (§IV), and its merge rules.
 //
-// Replaces the map-of-vectors layout (std::unordered_map<InstanceId,
-// InstanceState> + a separate insertion-order vector) that made the
-// per-round merge loop chase pointers through three allocation tiers per
-// instance. The store keeps:
+// For each threshold t_i the peer tracks the running average f_i, entered as
+// the indicator [A(p) <= t_i]; the push-pull averages drive every f_i to the
+// global fraction F(t_i). The same averaging runs over the weight w (1 at
+// the initiator, 0 elsewhere) whose converged mean is 1/N, and over the
+// verification points V. Extremes are merged with min/max instead of
+// averaging. That tuple is exactly the gossip payload: InstanceSlot::ref()
+// encodes it and merges read the peer's wire::InstancePayloadView directly.
+//
+// The store replaces a map-of-vectors layout (std::unordered_map of owning
+// states + a separate insertion-order vector) that made the per-round merge
+// loop chase pointers through three allocation tiers per instance
+// (DESIGN.md §7.5). It keeps:
 //
 //  * dense slot rows (`slots_`): one InstanceSlot per live instance — the
 //    full fixed header inline plus descriptors of its H/V point blocks;
@@ -33,19 +42,23 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <type_traits>
 #include <vector>
 
-#include "core/instance.hpp"
 #include "stats/point_arena.hpp"
 #include "wire/messages.hpp"
 
 namespace adam2::core {
 
-/// One live instance: the wire header inline, the point series in the
-/// store's arena. Field semantics are identical to InstanceState /
-/// wire::InstancePayload — this is the same state in a flat layout.
+/// Computes a node's initial (pre-averaging) value for threshold `t`.
+/// Single-value nodes contribute the indicator [A(p) <= t]; the multi-value
+/// extension (§IV) contributes |{a in A(p) : a <= t}|.
+using ContributionFn = std::function<double(double t)>;
+
+/// One live instance: the wire header inline (id, start_round, ttl, flags,
+/// weight, extremes), the H and V point series in the store's arena.
 class InstanceSlot {
  public:
   wire::InstanceId id;
@@ -55,7 +68,10 @@ class InstanceSlot {
   double weight = 0.0;
   double min_value = 0.0;
   double max_value = 0.0;
-  /// Scratch mark used by Adam2Agent::handle_request (see InstanceState).
+  /// Scratch mark used by Adam2Agent::handle_request to remember which
+  /// active instances the current request mentioned, making the
+  /// "instances the requester did not mention" reply pass linear instead of
+  /// O(active x incoming). Not protocol state; never on the wire.
   std::uint64_t touched_epoch = 0;
 
   /// H: interpolation points, in the initiator's threshold order.
@@ -79,11 +95,18 @@ class InstanceSlot {
             min_value, max_value,   points(), verification()};
   }
 
-  /// Same contracts as InstanceState::mergeable_with / average_with.
-  [[nodiscard]] bool mergeable_with(const wire::InstancePayload& other) const;
+  /// Whether `other` can be merged into this slot: same instance, same
+  /// number of interpolation and verification points, identical thresholds.
+  /// average_with REQUIRES this. A payload that parsed but fails the check —
+  /// in-flight corruption that survived framing, or a foreign restart of the
+  /// same id — must be dropped by the caller; merging it would read or write
+  /// out of bounds.
   [[nodiscard]] bool mergeable_with(
       const wire::InstancePayloadView& other) const;
-  void average_with(const wire::InstancePayload& other);
+
+  /// The symmetric merge of §IV, read straight off the peer's wire buffer:
+  /// element-wise averaging of every f and the weight, min/max of the
+  /// extremes. Precondition: mergeable_with(other).
   void average_with(const wire::InstancePayloadView& other);
 
  private:
@@ -109,22 +132,19 @@ class InstanceStore {
   [[nodiscard]] InstanceSlot* find(wire::InstanceId id);
   [[nodiscard]] const InstanceSlot* find(wire::InstanceId id) const;
 
-  /// Initiator-side creation (InstanceState::start semantics): weight 1,
-  /// own contributions at the given thresholds, own extremes. `id` must not
-  /// be present. Appended to the iteration order.
+  /// Initiator-side creation: weight 1, own contributions at the given
+  /// thresholds, own extremes. `id` must not be present. Appended to the
+  /// iteration order.
   InstanceSlot& start(wire::InstanceId id, std::uint32_t start_round,
                       std::uint16_t ttl, std::span<const double> thresholds,
                       std::span<const double> verification,
                       const ContributionFn& contribution, double local_min,
                       double local_max);
 
-  /// Joiner-side creation from a received payload (InstanceState::join
-  /// semantics): weight 0, own contributions at the payload's thresholds,
-  /// own extremes. `payload.id` must not be present.
+  /// Joiner-side creation from a received payload: weight 0, own
+  /// contributions at the payload's thresholds, own extremes. `payload.id`
+  /// must not be present.
   InstanceSlot& join(const wire::InstancePayloadView& payload,
-                     const ContributionFn& contribution, double local_min,
-                     double local_max);
-  InstanceSlot& join(const wire::InstancePayload& payload,
                      const ContributionFn& contribution, double local_min,
                      double local_max);
 
@@ -213,11 +233,6 @@ class InstanceStore {
   /// Backward-shift deletion at `hole`: keeps every remaining element
   /// reachable from its home bucket without tombstones.
   void erase_bucket(std::size_t hole);
-
-  template <typename Payload>
-  InstanceSlot& join_impl(const Payload& payload,
-                          const ContributionFn& contribution, double local_min,
-                          double local_max);
 
   stats::PointArena arena_;
   std::vector<InstanceSlot> slots_;

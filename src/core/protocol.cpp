@@ -95,23 +95,8 @@ void Adam2Agent::on_round_start(host::AgentContext& ctx) {
     --slot.ttl;
   }
   for (wire::InstanceId id : finished) {
-    // Finalisation leaves the hot path: copy the slot into the owning
-    // cold-path form (the finalize pipeline builds vectors and an Estimate
-    // anyway), recycle the slot, then finalise.
-    const InstanceSlot& slot = *store_.find(id);
-    InstanceState state;
-    state.id = slot.id;
-    state.start_round = slot.start_round;
-    state.ttl = slot.ttl;
-    state.flags = slot.flags;
-    state.weight = slot.weight;
-    state.min_value = slot.min_value;
-    state.max_value = slot.max_value;
-    state.points.assign(slot.points().begin(), slot.points().end());
-    state.verification.assign(slot.verification().begin(),
-                              slot.verification().end());
+    finalize(ctx, *store_.find(id));
     store_.erase(id);
-    finalize(ctx, std::move(state));
   }
 
   // Probabilistic instance creation: Ps = 1 / (Np * R) per round (§IV).
@@ -293,29 +278,34 @@ void Adam2Agent::handle_response(host::AgentContext& ctx,
   }
 }
 
-void Adam2Agent::finalize(host::AgentContext& /*ctx*/, InstanceState&& state) {
-  finalized_ids_.insert(state.id);
-  finalized_order_.push_back(state.id);
+// Reads the slot only: the caller erases it afterwards, and nothing here
+// touches the store.
+void Adam2Agent::finalize(host::AgentContext& /*ctx*/,
+                          const InstanceSlot& slot) {
+  finalized_ids_.insert(slot.id);
+  finalized_order_.push_back(slot.id);
   while (finalized_order_.size() > kFinalizedMemory) {
     finalized_ids_.erase(finalized_order_.front());
     finalized_order_.pop_front();
   }
 
-  std::vector<stats::CdfPoint> points = std::move(state.points);
-  std::vector<stats::CdfPoint> verification = std::move(state.verification);
+  std::vector<stats::CdfPoint> points(slot.points().begin(),
+                                      slot.points().end());
+  std::vector<stats::CdfPoint> verification(slot.verification().begin(),
+                                            slot.verification().end());
   finalize_points(points, verification);
 
   Estimate result;
-  result.instance = state.id;
-  result.completed_round = state.start_round + config_.instance_ttl;
-  result.min_value = state.min_value;
-  result.max_value = state.max_value;
+  result.instance = slot.id;
+  result.completed_round = slot.start_round + config_.instance_ttl;
+  result.min_value = slot.min_value;
+  result.max_value = slot.max_value;
   result.points = points;
   result.cdf =
-      stats::interpolate_with_extremes(points, state.min_value, state.max_value);
+      stats::interpolate_with_extremes(points, slot.min_value, slot.max_value);
   if (config_.enforce_monotone) result.cdf = result.cdf.make_monotone();
-  if (state.weight > 1e-12) {
-    result.n_estimate = 1.0 / state.weight;
+  if (slot.weight > 1e-12) {
+    result.n_estimate = 1.0 / slot.weight;
     n_estimate_ = result.n_estimate;
   }
   if (!verification.empty()) {

@@ -18,7 +18,6 @@
 
 #include "core/config.hpp"
 #include "core/estimate.hpp"
-#include "core/instance.hpp"
 #include "core/instance_store.hpp"
 // The NodeAgent contract is the protocol <-> substrate boundary: host/
 // defines the interface, core/ implements it. Inverting the edge would drag
@@ -113,7 +112,7 @@ class Adam2Agent : public host::NodeAgent {
   [[nodiscard]] bool eligible(const host::AgentContext& ctx,
                               std::uint32_t start_round,
                               wire::InstanceId id) const;
-  void finalize(host::AgentContext& ctx, InstanceState&& state);
+  void finalize(host::AgentContext& ctx, const InstanceSlot& slot);
   [[nodiscard]] std::vector<double> choose_thresholds(host::AgentContext& ctx);
   [[nodiscard]] std::vector<double> choose_verification(
       host::AgentContext& ctx, double lo, double hi);
@@ -145,7 +144,7 @@ class Adam2Agent : public host::NodeAgent {
   /// Reusable encode scratch for make_request/handle_request. Grows once to
   /// the steady-state message size, then exchanges encode allocation-free.
   wire::Writer wire_scratch_;
-  /// Monotone counter backing InstanceState::touched_epoch (see
+  /// Monotone counter backing InstanceSlot::touched_epoch (see
   /// handle_request); bumping it invalidates all marks in O(1).
   std::uint64_t request_epoch_ = 0;
 };

@@ -42,56 +42,6 @@ std::vector<stats::CdfPoint> decode_points(Reader& r) {
   return points;
 }
 
-// One encode routine serves the owning payload and the span-based ref
-// alike (both expose the same field names and point ranges), so the two
-// paths are byte-identical by construction.
-template <typename PayloadT>
-void encode_payload(Writer& w, const PayloadT& p) {
-  w.u64(p.id.initiator);
-  w.u32(p.id.seq);
-  w.u32(p.start_round);
-  w.u16(p.ttl);
-  w.u8(p.flags);
-  w.f64(p.weight);
-  w.f64(p.min_value);
-  w.f64(p.max_value);
-  encode_points(w, p.points);
-  encode_points(w, p.verification);
-}
-
-// The paper-literal "empty set" marker: `like`'s identity and TTL with the
-// flag set, zeroed averaging fields, no point series.
-template <typename PayloadT>
-void encode_empty_set(Writer& w, const PayloadT& like) {
-  w.u64(like.id.initiator);
-  w.u32(like.id.seq);
-  w.u32(like.start_round);
-  w.u16(like.ttl);
-  w.u8(kFlagEmptySet);
-  w.f64(0.0);
-  w.f64(0.0);
-  w.f64(0.0);
-  w.length(0);
-  w.length(0);
-}
-
-InstancePayload decode_payload(Reader& r) {
-  InstancePayload p;
-  p.id.initiator = r.u64();
-  p.id.seq = r.u32();
-  p.start_round = r.u32();
-  p.ttl = r.u16();
-  p.flags = r.u8();
-  p.weight = r.f64();
-  p.min_value = r.f64();
-  p.max_value = r.f64();
-  p.points = decode_points(r);
-  p.verification = decode_points(r);
-  return p;
-}
-
-constexpr std::size_t payload_fixed_size() { return kInstancePayloadFixedSize; }
-
 // Unaligned little-endian loads for the zero-copy views. memcpy keeps the
 // reads well-defined at any offset; the byte-swap branch mirrors Reader.
 template <typename T>
@@ -125,23 +75,33 @@ Adam2MessageBuilder::Adam2MessageBuilder(Writer& scratch, MessageType type,
   writer_.u32(0);  // Payload count, patched in finish().
 }
 
-void Adam2MessageBuilder::add(const InstancePayload& payload) {
-  encode_payload(writer_, payload);
-  ++count_;
-}
-
 void Adam2MessageBuilder::add(const InstancePayloadRef& payload) {
-  encode_payload(writer_, payload);
+  writer_.u64(payload.id.initiator);
+  writer_.u32(payload.id.seq);
+  writer_.u32(payload.start_round);
+  writer_.u16(payload.ttl);
+  writer_.u8(payload.flags);
+  writer_.f64(payload.weight);
+  writer_.f64(payload.min_value);
+  writer_.f64(payload.max_value);
+  encode_points(writer_, payload.points);
+  encode_points(writer_, payload.verification);
   ++count_;
 }
 
-void Adam2MessageBuilder::add_empty_set(const InstancePayload& like) {
-  encode_empty_set(writer_, like);
-  ++count_;
-}
-
+// The paper-literal "empty set" marker: `like`'s identity and TTL with the
+// flag set, zeroed averaging fields, no point series.
 void Adam2MessageBuilder::add_empty_set(const InstancePayloadRef& like) {
-  encode_empty_set(writer_, like);
+  writer_.u64(like.id.initiator);
+  writer_.u32(like.id.seq);
+  writer_.u32(like.start_round);
+  writer_.u16(like.ttl);
+  writer_.u8(kFlagEmptySet);
+  writer_.f64(0.0);
+  writer_.f64(0.0);
+  writer_.f64(0.0);
+  writer_.length(0);
+  writer_.length(0);
   ++count_;
 }
 
@@ -157,27 +117,6 @@ stats::CdfPoint PointsView::iterator::operator*() const {
 stats::CdfPoint PointsView::operator[](std::size_t i) const {
   assert(i < count_);
   return {load_f64(data_ + 16 * i), load_f64(data_ + 16 * i + 8)};
-}
-
-std::vector<stats::CdfPoint> PointsView::materialize() const {
-  std::vector<stats::CdfPoint> points;
-  points.reserve(count_);
-  for (const stats::CdfPoint p : *this) points.push_back(p);
-  return points;
-}
-
-InstancePayload InstancePayloadView::materialize() const {
-  InstancePayload p;
-  p.id = id;
-  p.start_round = start_round;
-  p.ttl = ttl;
-  p.flags = flags;
-  p.weight = weight;
-  p.min_value = min_value;
-  p.max_value = max_value;
-  p.points = points.materialize();
-  p.verification = verification.materialize();
-  return p;
 }
 
 Adam2MessageView::iterator::iterator(const std::byte* at, std::size_t index,
@@ -213,16 +152,15 @@ Adam2MessageView::iterator& Adam2MessageView::iterator::operator++() {
 }
 
 Adam2MessageView Adam2MessageView::parse(std::span<const std::byte> buffer) {
-  // One validation walk with exactly the checks of Adam2Message::decode, so
-  // both reject the same corrupt buffers with the same DecodeError — but
-  // without materialising anything. Iteration afterwards cannot fail.
+  // One validation walk over every length prefix, materialising nothing.
+  // Iteration afterwards cannot fail.
   Reader r(buffer);
   Adam2MessageView view;
   view.type_ = static_cast<MessageType>(r.u8());
   check_type(view.type_, MessageType::kAdam2Request,
-             MessageType::kAdam2Response, "Adam2Message");
+             MessageType::kAdam2Response, "Adam2MessageView");
   view.sender_ = r.u64();
-  view.count_ = r.length(payload_fixed_size());
+  view.count_ = r.length(kInstancePayloadFixedSize);
   view.payloads_ = buffer.data() + r.position();
   for (std::size_t i = 0; i < view.count_; ++i) {
     r.skip(12 + 4 + 2 + 1 + 24);  // Fixed payload header.
@@ -235,52 +173,9 @@ Adam2MessageView Adam2MessageView::parse(std::span<const std::byte> buffer) {
   return view;
 }
 
-Adam2Message Adam2MessageView::materialize() const {
-  Adam2Message m;
-  m.type = type_;
-  m.sender = sender_;
-  m.instances.reserve(count_);
-  for (const InstancePayloadView& p : *this) {
-    m.instances.push_back(p.materialize());
-  }
-  return m;
-}
-
 MessageType peek_type(std::span<const std::byte> buffer) {
   if (buffer.empty()) throw DecodeError("empty buffer");
   return static_cast<MessageType>(buffer[0]);
-}
-
-std::vector<std::byte> Adam2Message::encode() const {
-  Writer w;
-  w.reserve(encoded_size());
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(sender);
-  w.length(instances.size());
-  for (const InstancePayload& p : instances) encode_payload(w, p);
-  return w.take();
-}
-
-Adam2Message Adam2Message::decode(std::span<const std::byte> buffer) {
-  Reader r(buffer);
-  Adam2Message m;
-  m.type = static_cast<MessageType>(r.u8());
-  check_type(m.type, MessageType::kAdam2Request, MessageType::kAdam2Response,
-             "Adam2Message");
-  m.sender = r.u64();
-  const std::size_t n = r.length(payload_fixed_size());
-  m.instances.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) m.instances.push_back(decode_payload(r));
-  r.expect_done();
-  return m;
-}
-
-std::size_t Adam2Message::encoded_size() const {
-  std::size_t size = 1 + 8 + 4;  // type + sender + count
-  for (const InstancePayload& p : instances) {
-    size += payload_fixed_size() + 16 * (p.points.size() + p.verification.size());
-  }
-  return size;
 }
 
 std::vector<std::byte> BootstrapRequest::encode() const {

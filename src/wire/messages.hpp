@@ -72,28 +72,12 @@ inline constexpr std::uint8_t kFlagEmptySet = 0x01;  ///< Paper-literal join mar
 /// reserve exact scratch capacity before encoding.
 inline constexpr std::size_t kInstancePayloadFixedSize = 12 + 4 + 2 + 1 + 24 + 8;
 
-/// Per-instance state as it travels between two peers.
-struct InstancePayload {
-  InstanceId id;
-  std::uint32_t start_round = 0;  ///< Engine round the instance started in.
-  std::uint16_t ttl = 0;          ///< Rounds left before termination.
-  std::uint8_t flags = 0;
-  double weight = 0.0;      ///< System-size averaging weight (initiator: 1).
-  double min_value = 0.0;   ///< Gossiped global minimum (merged with min).
-  double max_value = 0.0;   ///< Gossiped global maximum (merged with max).
-  std::vector<stats::CdfPoint> points;        ///< H: interpolation points.
-  std::vector<stats::CdfPoint> verification;  ///< V: verification points.
-
-  friend bool operator==(const InstancePayload&, const InstancePayload&) =
-      default;
-};
-
 /// Non-owning view of one instance's live state for encoding: the fixed
 /// header by value, the H and V series as spans over the sender's storage
 /// (arena slots in core::InstanceStore, or any contiguous CdfPoint run).
 /// This is how agents hand their per-instance state to Adam2MessageBuilder
-/// without materialising an InstancePayload copy. Valid only while the
-/// referenced storage is alive and unmodified.
+/// without copying it. Valid only while the referenced storage is alive and
+/// unmodified.
 struct InstancePayloadRef {
   InstanceId id;
   std::uint32_t start_round = 0;
@@ -104,22 +88,6 @@ struct InstancePayloadRef {
   double max_value = 0.0;
   std::span<const stats::CdfPoint> points;
   std::span<const stats::CdfPoint> verification;
-};
-
-/// A full Adam2 gossip message (request or response). This is the *owning*
-/// decoded form, kept for tests, tools, and cold paths; the exchange hot
-/// path decodes with the zero-copy Adam2MessageView below instead.
-struct Adam2Message {
-  MessageType type = MessageType::kAdam2Request;
-  std::uint64_t sender = 0;
-  std::vector<InstancePayload> instances;
-
-  [[nodiscard]] std::vector<std::byte> encode() const;
-  [[nodiscard]] static Adam2Message decode(std::span<const std::byte> buffer);
-  /// Exact size encode() would produce, without allocating.
-  [[nodiscard]] std::size_t encoded_size() const;
-
-  friend bool operator==(const Adam2Message&, const Adam2Message&) = default;
 };
 
 /// Zero-copy view over an encoded point sequence: `count` little-endian
@@ -163,9 +131,6 @@ class PointsView {
   [[nodiscard]] iterator begin() const { return iterator(data_); }
   [[nodiscard]] iterator end() const { return iterator(data_ + 16 * count_); }
 
-  /// Owning copy (cold paths and tests).
-  [[nodiscard]] std::vector<stats::CdfPoint> materialize() const;
-
  private:
   const std::byte* data_ = nullptr;
   std::size_t count_ = 0;
@@ -184,17 +149,15 @@ struct InstancePayloadView {
   double max_value = 0.0;
   PointsView points;
   PointsView verification;
-
-  /// Owning copy, byte-identical to what Adam2Message::decode produces.
-  [[nodiscard]] InstancePayload materialize() const;
 };
 
 /// Zero-copy decode of an Adam2 gossip message. parse() validates the whole
-/// buffer up front with exactly the bounds checks of Adam2Message::decode
-/// (same DecodeError on the same corrupt inputs) but allocates nothing;
-/// iteration then unpacks payload headers on the fly. The responder hot path
-/// (Adam2Agent::handle_request) runs entirely off such views, so a
-/// steady-state exchange decodes with zero heap allocations.
+/// buffer up front (type tag, every length prefix against the bytes left, no
+/// trailing bytes) but allocates nothing; iteration then unpacks payload
+/// headers on the fly. wire_test holds it to the owning reference decoder in
+/// tests/reference/ (same accept/reject on every mutant, same content). The
+/// responder hot path (Adam2Agent::handle_request) runs entirely off such
+/// views, so a steady-state exchange decodes with zero heap allocations.
 class Adam2MessageView {
  public:
   class iterator {
@@ -224,7 +187,7 @@ class Adam2MessageView {
   };
 
   /// Validates and wraps `buffer`. Throws DecodeError on truncated or
-  /// structurally invalid input — identically to Adam2Message::decode.
+  /// structurally invalid input.
   [[nodiscard]] static Adam2MessageView parse(std::span<const std::byte> buffer);
 
   [[nodiscard]] MessageType type() const { return type_; }
@@ -239,9 +202,6 @@ class Adam2MessageView {
     return iterator(nullptr, count_, count_);
   }
 
-  /// Owning copy (convenience for tests).
-  [[nodiscard]] Adam2Message materialize() const;
-
  private:
   Adam2MessageView() = default;
 
@@ -252,8 +212,8 @@ class Adam2MessageView {
 };
 
 /// Zero-copy encoder for Adam2 messages: appends payloads straight from the
-/// sender's live state into a *borrowed* Writer, avoiding the intermediate
-/// Adam2Message copies on the per-exchange hot path. Agents keep the Writer
+/// sender's live state into a *borrowed* Writer, with no intermediate
+/// copies on the per-exchange hot path. Agents keep the Writer
 /// as a reusable scratch buffer, so once its capacity has grown to the
 /// steady-state message size, encoding allocates nothing. The payload count
 /// is patched in at finish().
@@ -263,14 +223,11 @@ class Adam2MessageBuilder {
   /// The builder borrows the writer; the encoded bytes live in it.
   Adam2MessageBuilder(Writer& scratch, MessageType type, std::uint64_t sender);
 
-  void add(const InstancePayload& payload);
-  /// Same encoding, straight from live state (spans instead of owned
-  /// vectors) — the byte-for-byte fast path InstanceStore slots use. On
+  /// Appends one payload straight from live state (InstanceSlot::ref()). On
   /// little-endian hosts the point series are appended with one memcpy.
   void add(const InstancePayloadRef& payload);
 
   /// Appends the paper-literal "empty set" marker for `like`'s instance.
-  void add_empty_set(const InstancePayload& like);
   void add_empty_set(const InstancePayloadRef& like);
 
   [[nodiscard]] std::size_t count() const { return count_; }

@@ -14,10 +14,10 @@
 //  2. Differential fuzz. Seeded random op sequences (start / join / merge /
 //     expire / lookup) driven in lockstep against a reference model built
 //     from the old layout's ingredients (std::unordered_map + insertion-order
-//     vector of owning InstanceState). Iteration order, header fields, point
-//     values, and the encoded wire bytes must match after every step; arena
-//     pages and slot storage must stop growing once the working set has been
-//     seen (freelist reuse).
+//     vector of the owning reference::Instance, tests/reference/). Iteration
+//     order, header fields, point values, and the encoded wire bytes must
+//     match after every step; arena pages and slot storage must stop growing
+//     once the working set has been seen (freelist reuse).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/instance_store.hpp"
+#include "reference/adam2_reference.hpp"
 #include "rng/rng.hpp"
 #include "stats/point_arena.hpp"
 
@@ -215,7 +216,7 @@ std::uint64_t run_parallel(bool faults, const sim::AgentFactory& factory) {
 
 // -- Pinned digests ----------------------------------------------------------
 // First captured from the tree before InstanceStore (agent state in a
-// std::unordered_map<InstanceId, InstanceState>), which the arena-backed
+// std::unordered_map of owning instance states), which the arena-backed
 // store reproduced bit for bit: gossip payload order, merge arithmetic,
 // finalisation order, and every estimate byte are part of the contract.
 // Re-captured when Cyclon maintenance became planned, per-unit-stream
@@ -311,14 +312,17 @@ TEST(PointArenaTest, SteadyChurnStopsReservingAfterWarmup) {
 // -- Differential fuzz: InstanceStore vs reference model ---------------------
 //
 // The reference model is built from the old layout's exact ingredients: an
-// unordered_map of owning InstanceState plus an insertion-order id vector.
+// unordered_map of owning reference::Instance plus an insertion-order id
+// vector.
 // Both sides execute the same seeded op sequence; after every round the
 // full observable state must match — membership, iteration order, header
 // fields, every point value bit for bit, and the encoded wire bytes of a
 // message carrying all live instances.
 
 struct ReferenceStore {
-  std::unordered_map<wire::InstanceId, InstanceState, wire::InstanceIdHash> map;
+  std::unordered_map<wire::InstanceId, reference::Instance,
+                     wire::InstanceIdHash>
+      map;
   std::vector<wire::InstanceId> order;
 };
 
@@ -334,8 +338,8 @@ std::vector<double> random_thresholds(rng::Rng& rng) {
   return thresholds;
 }
 
-wire::InstancePayload random_payload(rng::Rng& rng, wire::InstanceId id) {
-  wire::InstancePayload p;
+reference::Payload random_payload(rng::Rng& rng, wire::InstanceId id) {
+  reference::Payload p;
   p.id = id;
   p.start_round = static_cast<std::uint32_t>(rng.below(100));
   p.ttl = static_cast<std::uint16_t>(1 + rng.below(25));
@@ -353,9 +357,9 @@ wire::InstancePayload random_payload(rng::Rng& rng, wire::InstanceId id) {
 
 /// A peer's re-gossip of an instance both models hold: same thresholds
 /// (mergeable), fresh averaged values.
-wire::InstancePayload mutate_payload(const InstanceState& state,
-                                     rng::Rng& rng) {
-  wire::InstancePayload p = state.to_payload();
+reference::Payload mutate_payload(const reference::Instance& state,
+                                  rng::Rng& rng) {
+  reference::Payload p = state;
   for (stats::CdfPoint& pt : p.points) pt.f = rng.uniform();
   for (stats::CdfPoint& pt : p.verification) pt.f = rng.uniform();
   p.weight = rng.uniform();
@@ -364,17 +368,14 @@ wire::InstancePayload mutate_payload(const InstanceState& state,
   return p;
 }
 
-/// Encodes `p` and hands the zero-copy parsed view to `use` (so the store
-/// side exercises the same wire path the exchange hot loop uses).
-template <typename Fn>
-void with_view(const wire::InstancePayload& p, Fn&& use) {
-  wire::Writer scratch;
+/// `p` encoded into `scratch` and parsed back into the zero-copy view the
+/// exchange hot loop merges from; valid while `scratch` is.
+wire::InstancePayloadView encode_view(const wire::InstancePayloadRef& p,
+                                      wire::Writer& scratch) {
   wire::Adam2MessageBuilder builder(scratch, wire::MessageType::kAdam2Request,
                                     99);
   builder.add(p);
-  const auto bytes = builder.finish();
-  const auto view = wire::Adam2MessageView::parse(bytes);
-  use(*view.begin());
+  return *wire::Adam2MessageView::parse(builder.finish()).begin();
 }
 
 void expect_equivalent(const InstanceStore& store, const ReferenceStore& ref) {
@@ -383,7 +384,7 @@ void expect_equivalent(const InstanceStore& store, const ReferenceStore& ref) {
   for (const InstanceSlot& slot : store) {
     const wire::InstanceId id = ref.order[i++];
     ASSERT_TRUE(slot.id == id) << "iteration order diverged at " << (i - 1);
-    const InstanceState& state = ref.map.find(id)->second;
+    const reference::Instance& state = ref.map.find(id)->second;
     EXPECT_EQ(slot.start_round, state.start_round);
     EXPECT_EQ(slot.ttl, state.ttl);
     EXPECT_EQ(slot.flags, state.flags);
@@ -409,7 +410,9 @@ void expect_equivalent(const InstanceStore& store, const ReferenceStore& ref) {
   wire::Adam2MessageBuilder a(from_slots, wire::MessageType::kAdam2Request, 7);
   for (const InstanceSlot& slot : store) a.add(slot.ref());
   wire::Adam2MessageBuilder b(from_states, wire::MessageType::kAdam2Request, 7);
-  for (const wire::InstanceId id : ref.order) b.add(ref.map.find(id)->second);
+  for (const wire::InstanceId id : ref.order) {
+    b.add(ref.map.find(id)->second.ref());
+  }
   const auto bytes_a = a.finish();
   const auto bytes_b = b.finish();
   ASSERT_EQ(bytes_a.size(), bytes_b.size());
@@ -441,37 +444,36 @@ void run_fuzz(std::uint64_t seed) {
         const auto ttl = static_cast<std::uint16_t>(1 + rng.below(25));
         store.start(id, round_no, ttl, thresholds, verification,
                     fuzz_contribution, kFuzzAttribute, kFuzzAttribute);
-        ref.map.emplace(id, InstanceState::start(id, round_no, ttl, thresholds,
-                                                 verification,
-                                                 fuzz_contribution,
-                                                 kFuzzAttribute,
-                                                 kFuzzAttribute));
+        ref.map.emplace(id, reference::Instance::start(
+                                id, round_no, ttl, thresholds, verification,
+                                fuzz_contribution, kFuzzAttribute,
+                                kFuzzAttribute));
         ref.order.push_back(id);
         break;
       }
       case 1: {  // Joiner-side creation from a foreign payload.
         const wire::InstanceId id{2 + rng.below(8), next_seq++};
-        const wire::InstancePayload payload = random_payload(rng, id);
-        with_view(payload, [&](const wire::InstancePayloadView& view) {
-          store.join(view, fuzz_contribution, kFuzzAttribute, kFuzzAttribute);
-        });
-        ref.map.emplace(id, InstanceState::join(payload, fuzz_contribution,
-                                                kFuzzAttribute,
-                                                kFuzzAttribute));
+        wire::Writer scratch;
+        const auto view = encode_view(random_payload(rng, id).ref(), scratch);
+        store.join(view, fuzz_contribution, kFuzzAttribute, kFuzzAttribute);
+        ref.map.emplace(id, reference::Instance::join(view, fuzz_contribution,
+                                                      kFuzzAttribute,
+                                                      kFuzzAttribute));
         ref.order.push_back(id);
         break;
       }
       case 2: {  // Symmetric merge of a re-gossiped payload.
         const wire::InstanceId id = ref.order[rng.below(ref.order.size())];
-        const wire::InstancePayload payload =
-            mutate_payload(ref.map.find(id)->second, rng);
-        with_view(payload, [&](const wire::InstancePayloadView& view) {
-          InstanceSlot* slot = store.find(id);
-          ASSERT_NE(slot, nullptr);
-          ASSERT_TRUE(slot->mergeable_with(view));
-          slot->average_with(view);
-        });
-        ref.map.find(id)->second.average_with(payload);
+        reference::Instance& state = ref.map.find(id)->second;
+        wire::Writer scratch;
+        const auto view =
+            encode_view(mutate_payload(state, rng).ref(), scratch);
+        InstanceSlot* slot = store.find(id);
+        ASSERT_NE(slot, nullptr);
+        ASSERT_TRUE(slot->mergeable_with(view));
+        slot->average_with(view);
+        ASSERT_TRUE(state.mergeable_with(view));
+        state.average_with(view);
         break;
       }
       case 3: {  // Expiry.
@@ -483,7 +485,7 @@ void run_fuzz(std::uint64_t seed) {
       }
       case 5: {  // Checkpoint restore into a (possibly non-empty) store.
         const wire::InstanceId id{10 + rng.below(4), next_seq++};
-        InstanceState state;
+        reference::Instance state;
         state.id = id;
         state.start_round = static_cast<std::uint32_t>(rng.below(100));
         state.ttl = static_cast<std::uint16_t>(1 + rng.below(25));
@@ -533,6 +535,197 @@ TEST(InstanceStoreFuzz, MatchesReferenceModelSeedA) { run_fuzz(0xf00d); }
 TEST(InstanceStoreFuzz, MatchesReferenceModelSeedB) { run_fuzz(0xbeef); }
 TEST(InstanceStoreFuzz, MatchesReferenceModelSeedC) { run_fuzz(42); }
 
+// -- Instance state and its merge rules (§IV) -------------------------------
+//
+// Each peer holds its own store; states travel as the exchange carries them:
+// builder-encoded, parsed, merged off the zero-copy view.
+
+ContributionFn indicator(double attribute) {
+  return [attribute](double t) { return attribute <= t ? 1.0 : 0.0; };
+}
+
+/// One symmetric push-pull exchange: both sides encode their pre-merge
+/// state, then average in the other's view.
+void exchange(InstanceSlot& a, InstanceSlot& b) {
+  wire::Writer scratch_a;
+  wire::Writer scratch_b;
+  const wire::InstancePayloadView view_a = encode_view(a.ref(), scratch_a);
+  const wire::InstancePayloadView view_b = encode_view(b.ref(), scratch_b);
+  ASSERT_TRUE(a.mergeable_with(view_b));
+  ASSERT_TRUE(b.mergeable_with(view_a));
+  a.average_with(view_b);
+  b.average_with(view_a);
+}
+
+/// `initiator`'s instance joined on a peer holding `attribute`.
+InstanceSlot& join_peer(InstanceStore& peer, const InstanceSlot& initiator,
+                        double attribute) {
+  wire::Writer scratch;
+  return peer.join(encode_view(initiator.ref(), scratch), indicator(attribute),
+                   attribute, attribute);
+}
+
+TEST(InstanceStateTest, StartInitialisesInitiator) {
+  InstanceStore store;
+  const std::vector<double> thresholds{100.0, 200.0, 300.0};
+  const std::vector<double> verification{150.0};
+  InstanceSlot& slot = store.start({1, 0}, 10, 25, thresholds, verification,
+                                   indicator(150.0), 150.0, 150.0);
+  EXPECT_EQ(slot.id, (wire::InstanceId{1, 0}));
+  EXPECT_EQ(slot.start_round, 10u);
+  EXPECT_EQ(slot.ttl, 25);
+  EXPECT_DOUBLE_EQ(slot.weight, 1.0);
+  ASSERT_EQ(slot.points().size(), 3u);
+  EXPECT_DOUBLE_EQ(slot.points()[0].f, 0.0);  // 150 > 100
+  EXPECT_DOUBLE_EQ(slot.points()[1].f, 1.0);  // 150 <= 200
+  EXPECT_DOUBLE_EQ(slot.points()[2].f, 1.0);
+  ASSERT_EQ(slot.verification().size(), 1u);
+  EXPECT_DOUBLE_EQ(slot.verification()[0].f, 1.0);
+  EXPECT_DOUBLE_EQ(slot.min_value, 150.0);
+  EXPECT_DOUBLE_EQ(slot.max_value, 150.0);
+
+  // The initiator's unit weight is the whole mass: one exchange splits it.
+  InstanceStore peer;
+  InstanceSlot& joiner = join_peer(peer, slot, 150.0);
+  exchange(slot, joiner);
+  EXPECT_DOUBLE_EQ(slot.weight, 0.5);
+  EXPECT_DOUBLE_EQ(joiner.weight, 0.5);
+}
+
+TEST(InstanceStateTest, JoinTakesThresholdsFromPayloadWithZeroWeight) {
+  InstanceStore store;
+  const std::vector<double> thresholds{100.0, 200.0};
+  InstanceSlot& initiator = store.start({1, 0}, 10, 25, thresholds, {},
+                                        indicator(50.0), 50.0, 50.0);
+  InstanceStore peer;
+  InstanceSlot& joiner = join_peer(peer, initiator, 250.0);
+  EXPECT_EQ(joiner.id, initiator.id);
+  EXPECT_EQ(joiner.start_round, initiator.start_round);
+  EXPECT_DOUBLE_EQ(joiner.weight, 0.0);
+  ASSERT_EQ(joiner.points().size(), 2u);
+  EXPECT_DOUBLE_EQ(joiner.points()[0].t, 100.0);
+  EXPECT_DOUBLE_EQ(joiner.points()[0].f, 0.0);  // 250 > 100
+  EXPECT_DOUBLE_EQ(joiner.points()[1].f, 0.0);  // 250 > 200
+  EXPECT_DOUBLE_EQ(joiner.min_value, 250.0);
+
+  // Same thresholds, so the two merge; the joiner adds no weight.
+  exchange(initiator, joiner);
+  EXPECT_DOUBLE_EQ(joiner.weight, 0.5);
+  EXPECT_DOUBLE_EQ(joiner.points()[0].f, 0.5);
+}
+
+TEST(InstanceStateTest, PayloadRoundTripPreservesState) {
+  InstanceStore store;
+  const std::vector<double> thresholds{10.0, 20.0};
+  const std::vector<double> verification{15.0};
+  const InstanceSlot& state = store.start({7, 3}, 2, 20, thresholds,
+                                          verification, indicator(12.0), 12.0,
+                                          12.0);
+  wire::Writer scratch;
+  const wire::InstancePayloadView view = encode_view(state.ref(), scratch);
+  EXPECT_EQ(view.id, state.id);
+  EXPECT_EQ(view.start_round, state.start_round);
+  EXPECT_EQ(view.ttl, state.ttl);
+  EXPECT_EQ(view.weight, state.weight);
+
+  // Restored from the wire, the copy equals the original field for field,
+  // so merging the original's view into it changes nothing.
+  InstanceStore restored_store;
+  InstanceSlot& restored = restored_store.restore(
+      view.id, view.start_round, view.ttl, view.flags, view.weight,
+      view.min_value, view.max_value, 0, reference::to_points(view.points),
+      reference::to_points(view.verification));
+  ASSERT_TRUE(restored.mergeable_with(view));
+  restored.average_with(view);
+  EXPECT_TRUE(std::ranges::equal(restored.points(), state.points()));
+  EXPECT_TRUE(
+      std::ranges::equal(restored.verification(), state.verification()));
+  EXPECT_EQ(restored.weight, state.weight);
+  EXPECT_EQ(restored.min_value, state.min_value);
+  EXPECT_EQ(restored.max_value, state.max_value);
+
+  // Joined from the wire: the initiator's thresholds, own contributions.
+  InstanceStore peer;
+  const InstanceSlot& joiner = peer.join(view, indicator(12.0), 12.0, 12.0);
+  EXPECT_TRUE(std::ranges::equal(joiner.points(), state.points()));
+  EXPECT_TRUE(std::ranges::equal(joiner.verification(), state.verification()));
+}
+
+TEST(InstanceStateTest, AverageWithIsSymmetricMean) {
+  InstanceStore store_a;
+  const std::vector<double> thresholds{100.0};
+  InstanceSlot& a = store_a.start({1, 0}, 0, 25, thresholds, {},
+                                  indicator(50.0), 50.0, 50.0);
+  InstanceStore store_b;
+  InstanceSlot& b = join_peer(store_b, a, 200.0);
+  exchange(a, b);
+  EXPECT_DOUBLE_EQ(a.points()[0].f, 0.5);
+  EXPECT_DOUBLE_EQ(b.points()[0].f, 0.5);
+  EXPECT_DOUBLE_EQ(a.weight, 0.5);
+  EXPECT_DOUBLE_EQ(b.weight, 0.5);
+}
+
+TEST(InstanceStateTest, AverageMergesExtremesWithMinMax) {
+  InstanceStore store_a;
+  const std::vector<double> thresholds{100.0};
+  InstanceSlot& a = store_a.start({1, 0}, 0, 25, thresholds, {},
+                                  indicator(50.0), 50.0, 50.0);
+  InstanceStore store_b;
+  InstanceSlot& b = join_peer(store_b, a, 200.0);
+  exchange(a, b);
+  // Extremes take the min/max; the same exchange averages f.
+  for (const InstanceSlot* slot : {&a, &b}) {
+    EXPECT_DOUBLE_EQ(slot->min_value, 50.0);
+    EXPECT_DOUBLE_EQ(slot->max_value, 200.0);
+    EXPECT_DOUBLE_EQ(slot->points()[0].f, 0.5);
+  }
+}
+
+TEST(InstanceStateTest, RepeatedAveragingConvergesPairwise) {
+  InstanceStore store_a;
+  const std::vector<double> thresholds{100.0};
+  InstanceSlot& a = store_a.start({1, 0}, 0, 25, thresholds, {},
+                                  indicator(50.0), 50.0, 50.0);
+  InstanceStore store_b;
+  InstanceSlot& b = join_peer(store_b, a, 200.0);
+  for (int i = 0; i < 10; ++i) exchange(a, b);
+  EXPECT_NEAR(a.points()[0].f, 0.5, 1e-12);
+  EXPECT_NEAR(b.points()[0].f, 0.5, 1e-12);
+}
+
+TEST(InstanceStateTest, MassConservationAcrossArbitrarySchedules) {
+  // Three peers, initiator holds value below the threshold. Any sequence of
+  // symmetric exchanges keeps sum(f) and sum(weight) constant.
+  InstanceStore stores[3];
+  const std::vector<double> thresholds{100.0};
+  InstanceSlot& a = stores[0].start({1, 0}, 0, 25, thresholds, {},
+                                    indicator(50.0), 50.0, 50.0);
+  InstanceSlot& b = join_peer(stores[1], a, 200.0);
+  InstanceSlot& c = join_peer(stores[2], a, 80.0);
+
+  auto mass = [&] {
+    return a.points()[0].f + b.points()[0].f + c.points()[0].f;
+  };
+  auto weight = [&] { return a.weight + b.weight + c.weight; };
+  const double f0 = mass();
+  const double w0 = weight();
+  EXPECT_DOUBLE_EQ(f0, 2.0);  // 50 and 80 are <= 100; 200 is not.
+  EXPECT_DOUBLE_EQ(w0, 1.0);
+
+  rng::Rng rng(5);
+  InstanceSlot* peers[] = {&a, &b, &c};
+  for (int i = 0; i < 50; ++i) {
+    InstanceSlot* x = peers[rng.below(3)];
+    InstanceSlot* y = peers[rng.below(3)];
+    if (x == y) continue;
+    exchange(*x, *y);
+    EXPECT_NEAR(mass(), f0, 1e-12);
+    EXPECT_NEAR(weight(), w0, 1e-12);
+  }
+  // And the values converge to mass/3 (the true fraction 2/3) pairwise-ish.
+  EXPECT_NEAR(a.points()[0].f, 2.0 / 3.0, 0.2);
+}
+
 TEST(InstanceStoreTest, FixedLambdaLifecycleReachesExactSteadyState) {
   // The production shape: instances at one lambda, FIFO expiry (TTL). After
   // the first full working set, every counter the allocator owns must be
@@ -574,14 +767,14 @@ TEST(InstanceStoreTest, EmptySetMarkersEncodeIdenticallyFromSlotAndPayload) {
   const std::vector<double> thresholds{10.0, 20.0};
   InstanceSlot& slot = store.start({3, 9}, 5, 7, thresholds, {},
                                    fuzz_contribution, 1.0, 2.0);
-  InstanceState state = InstanceState::start({3, 9}, 5, 7, thresholds, {},
-                                             fuzz_contribution, 1.0, 2.0);
+  const reference::Instance state = reference::Instance::start(
+      {3, 9}, 5, 7, thresholds, {}, fuzz_contribution, 1.0, 2.0);
   wire::Writer a;
   wire::Writer b;
   wire::Adam2MessageBuilder ba(a, wire::MessageType::kAdam2Response, 1);
   ba.add_empty_set(slot.ref());
   wire::Adam2MessageBuilder bb(b, wire::MessageType::kAdam2Response, 1);
-  bb.add_empty_set(state);
+  bb.add_empty_set(state.ref());
   const auto bytes_a = ba.finish();
   const auto bytes_b = bb.finish();
   ASSERT_EQ(bytes_a.size(), bytes_b.size());

@@ -160,7 +160,7 @@ TEST(Layering, FlagsUpwardIncludes) {
 TEST(Layering, AcceptsDownSameLayerAndSystem) {
   EXPECT_TRUE(run("src/core/a.hpp",
                   "#include <vector>\n"
-                  "#include \"core/instance.hpp\"\n"
+                  "#include \"core/instance_store.hpp\"\n"
                   "#include \"stats/sketch.hpp\"\n"
                   "#include \"wire/ids.hpp\"\n"
                   "#include \"rng/rng.hpp\"\n")

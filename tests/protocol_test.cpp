@@ -6,6 +6,7 @@
 #include "core/evaluation.hpp"
 #include "core/system.hpp"
 #include "data/boinc_synth.hpp"
+#include "reference/adam2_reference.hpp"
 #include "stats/error_metrics.hpp"
 
 namespace adam2::core {
@@ -631,7 +632,7 @@ TEST(ProtocolTest, RequestPayloadsFollowJoinOrderNotBucketOrder) {
 
   auto jctx = engine.context_for(joiner);
   const auto request = system.agent_of(joiner).make_request(jctx);
-  const wire::Adam2Message decoded = wire::Adam2Message::decode(request);
+  const reference::Message decoded = reference::Message::decode(request);
   ASSERT_EQ(decoded.instances.size(), arrival.size());
   for (std::size_t i = 0; i < arrival.size(); ++i) {
     EXPECT_EQ(decoded.instances[i].id, arrival[i]) << "payload " << i;
@@ -669,7 +670,7 @@ TEST(ProtocolTest, PayloadOrderSurvivesMidLifeFinalisation) {
   auto late_ctx = engine.context_for(node);
   const auto late = agent.start_instance(late_ctx);
   const auto request = agent.make_request(late_ctx);
-  const wire::Adam2Message decoded = wire::Adam2Message::decode(request);
+  const reference::Message decoded = reference::Message::decode(request);
 
   std::vector<wire::InstanceId> ids;
   for (const auto& payload : decoded.instances) ids.push_back(payload.id);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <string>
 
+#include "reference/adam2_reference.hpp"
 #include "rng/rng.hpp"
 #include "wire/buffer.hpp"
 #include "wire/messages.hpp"
@@ -88,9 +90,16 @@ TEST(BufferTest, LengthAcceptsHonestSequences) {
 }
 
 // ---------------------------------------------------------------- Messages
+//
+// Adam2 messages are checked against the owning reference codec in
+// tests/reference/ (reference::Message): the builder must produce its bytes,
+// the zero-copy view must decode them to the same content.
 
-InstancePayload sample_payload(std::uint32_t seq = 7) {
-  InstancePayload p;
+using reference::Message;
+using reference::Payload;
+
+Payload sample_payload(std::uint32_t seq = 7) {
+  Payload p;
   p.id = {42, seq};
   p.start_round = 19;
   p.ttl = 23;
@@ -103,39 +112,50 @@ InstancePayload sample_payload(std::uint32_t seq = 7) {
   return p;
 }
 
+/// `m` encoded by the library's one Adam2 encoder.
+std::vector<std::byte> build(const Message& m) {
+  Writer scratch;
+  Adam2MessageBuilder builder(scratch, m.type, m.sender);
+  for (const Payload& p : m.instances) builder.add(p.ref());
+  const auto bytes = builder.finish();
+  return {bytes.begin(), bytes.end()};
+}
+
 TEST(Adam2MessageTest, RoundTrip) {
-  Adam2Message m;
+  Message m;
   m.type = MessageType::kAdam2Request;
   m.sender = 1234;
   m.instances = {sample_payload(1), sample_payload(2)};
-  const auto bytes = m.encode();
-  EXPECT_EQ(Adam2Message::decode(bytes), m);
+  EXPECT_EQ(Message::decode(build(m)), m);
+  EXPECT_EQ(Message::decode(m.encode()), m);
 }
 
 TEST(Adam2MessageTest, EncodedSizeMatchesEncoding) {
-  Adam2Message m;
+  Message m;
   m.type = MessageType::kAdam2Response;
   m.sender = 5;
   m.instances = {sample_payload()};
   EXPECT_EQ(m.encoded_size(), m.encode().size());
+  EXPECT_EQ(m.encoded_size(), build(m).size());
 
   m.instances.clear();
   EXPECT_EQ(m.encoded_size(), m.encode().size());
+  EXPECT_EQ(m.encoded_size(), build(m).size());
 }
 
 TEST(Adam2MessageTest, PaperMessageSizeAtLambda50) {
   // §VII-I: "For lambda = 50 the size of a gossip message is approximately
   // 800 bytes". Our format: 50 points * 16 B + fixed overhead.
-  Adam2Message m;
+  Message m;
   m.type = MessageType::kAdam2Request;
   m.sender = 1;
-  InstancePayload p;
+  Payload p;
   p.id = {1, 0};
   for (int i = 0; i < 50; ++i) {
     p.points.push_back({static_cast<double>(i), 0.5});
   }
   m.instances = {p};
-  const std::size_t size = m.encoded_size();
+  const std::size_t size = build(m).size();
   EXPECT_GE(size, 800u);
   EXPECT_LE(size, 900u);
 }
@@ -144,51 +164,52 @@ TEST(Adam2MessageTest, TenExtraPointsCostAbout160Bytes) {
   // §VII-D: "with 10 extra points, the size of the messages increases by
   // about 160 bytes".
   auto size_for = [](int lambda) {
-    Adam2Message m;
-    InstancePayload p;
+    Message m;
+    Payload p;
     for (int i = 0; i < lambda; ++i) p.points.push_back({1.0 * i, 0.5});
     m.instances = {p};
-    return m.encoded_size();
+    return build(m).size();
   };
   EXPECT_EQ(size_for(60) - size_for(50), 160u);
 }
 
 TEST(Adam2MessageTest, RejectsWrongTypeTag) {
-  Adam2Message m;
+  Message m;
   m.instances = {sample_payload()};
   auto bytes = m.encode();
   bytes[0] = static_cast<std::byte>(MessageType::kShuffleRequest);
-  EXPECT_THROW((void)Adam2Message::decode(bytes), DecodeError);
+  EXPECT_THROW((void)Message::decode(bytes), DecodeError);
 }
 
 TEST(Adam2MessageTest, RejectsTruncatedBuffer) {
-  Adam2Message m;
+  Message m;
   m.instances = {sample_payload()};
   auto bytes = m.encode();
   bytes.resize(bytes.size() - 3);
-  EXPECT_THROW((void)Adam2Message::decode(bytes), DecodeError);
+  EXPECT_THROW((void)Message::decode(bytes), DecodeError);
 }
 
 TEST(Adam2MessageTest, RejectsTrailingGarbage) {
-  Adam2Message m;
+  Message m;
   m.instances = {sample_payload()};
   auto bytes = m.encode();
   bytes.push_back(std::byte{0});
-  EXPECT_THROW((void)Adam2Message::decode(bytes), DecodeError);
+  EXPECT_THROW((void)Message::decode(bytes), DecodeError);
 }
 
 TEST(Adam2MessageTest, EmptySetFlagSurvivesRoundTrip) {
-  Adam2Message m;
-  InstancePayload p;
-  p.id = {9, 1};
-  p.flags = kFlagEmptySet;
-  m.instances = {p};
-  const auto decoded = Adam2Message::decode(m.encode());
+  Writer scratch;
+  Adam2MessageBuilder builder(scratch, MessageType::kAdam2Response, 3);
+  builder.add_empty_set(sample_payload(1).ref());
+  const auto bytes = builder.finish();
+  const auto decoded = Message::decode(bytes);
+  ASSERT_EQ(decoded.instances.size(), 1u);
   EXPECT_EQ(decoded.instances[0].flags, kFlagEmptySet);
+  EXPECT_EQ(Adam2MessageView::parse(bytes).begin()->flags, kFlagEmptySet);
 }
 
 TEST(PeekTypeTest, ReadsFirstByte) {
-  Adam2Message m;
+  Message m;
   const auto bytes = m.encode();
   EXPECT_EQ(peek_type(bytes), MessageType::kAdam2Request);
   EXPECT_THROW((void)peek_type({}), DecodeError);
@@ -230,13 +251,13 @@ TEST(EquiDepthMessageTest, ComparableSizeToAdam2AtSameBudget) {
   // §VII-I: "The costs of EquiDepth are very similar to those of Adam2".
   EquiDepthMessage ed;
   for (int i = 0; i < 50; ++i) ed.synopsis.push_back({1.0 * i, 1.0});
-  Adam2Message a2;
-  InstancePayload p;
+  Message a2;
+  Payload p;
   for (int i = 0; i < 50; ++i) p.points.push_back({1.0 * i, 0.5});
   a2.instances = {p};
   const auto diff =
       static_cast<std::ptrdiff_t>(ed.encoded_size()) -
-      static_cast<std::ptrdiff_t>(a2.encoded_size());
+      static_cast<std::ptrdiff_t>(build(a2).size());
   EXPECT_LT(std::abs(diff), 64);
 }
 
@@ -251,7 +272,7 @@ TEST(ShuffleMessageTest, RoundTrip) {
 // ---------------------------------------------------- Zero-copy view parity
 
 TEST(Adam2MessageViewTest, MaterializeMatchesDecode) {
-  Adam2Message m;
+  Message m;
   m.type = MessageType::kAdam2Response;
   m.sender = 1234;
   m.instances = {sample_payload(1), sample_payload(2)};
@@ -260,17 +281,17 @@ TEST(Adam2MessageViewTest, MaterializeMatchesDecode) {
   EXPECT_EQ(view.type(), m.type);
   EXPECT_EQ(view.sender(), m.sender);
   EXPECT_EQ(view.size(), m.instances.size());
-  EXPECT_EQ(view.materialize(), Adam2Message::decode(bytes));
-  EXPECT_EQ(view.materialize(), m);
+  EXPECT_EQ(reference::to_message(view), Message::decode(bytes));
+  EXPECT_EQ(reference::to_message(view), m);
 }
 
 TEST(Adam2MessageViewTest, PayloadFieldsAndPointsDecodeInPlace) {
-  Adam2Message m;
+  Message m;
   m.sender = 9;
   m.instances = {sample_payload(3)};
   const auto bytes = m.encode();
   const Adam2MessageView view = Adam2MessageView::parse(bytes);
-  const InstancePayload& want = m.instances.front();
+  const Payload& want = m.instances.front();
   auto it = view.begin();
   EXPECT_EQ(it->id, want.id);
   EXPECT_EQ(it->start_round, want.start_round);
@@ -284,24 +305,24 @@ TEST(Adam2MessageViewTest, PayloadFieldsAndPointsDecodeInPlace) {
     EXPECT_EQ(it->points[i].t, want.points[i].t);
     EXPECT_EQ(it->points[i].f, want.points[i].f);
   }
-  EXPECT_EQ(it->points.materialize(), want.points);
-  EXPECT_EQ(it->verification.materialize(), want.verification);
+  EXPECT_EQ(reference::to_points(it->points), want.points);
+  EXPECT_EQ(reference::to_points(it->verification), want.verification);
   ++it;
   EXPECT_EQ(it, view.end());
 }
 
 TEST(Adam2MessageViewTest, EmptyMessageParses) {
-  Adam2Message m;
+  Message m;
   m.sender = 3;
   const auto bytes = m.encode();
   const Adam2MessageView view = Adam2MessageView::parse(bytes);
   EXPECT_TRUE(view.empty());
   EXPECT_EQ(view.begin(), view.end());
-  EXPECT_EQ(view.materialize(), m);
+  EXPECT_EQ(reference::to_message(view), m);
 }
 
 TEST(Adam2MessageViewTest, RejectsCorruptBuffersLikeDecode) {
-  Adam2Message m;
+  Message m;
   m.instances = {sample_payload()};
   const auto good = m.encode();
 
@@ -321,35 +342,28 @@ TEST(Adam2MessageViewTest, RejectsCorruptBuffersLikeDecode) {
 }
 
 TEST(Adam2MessageBuilderTest, BytesAreIdenticalToOwningEncode) {
-  Adam2Message m;
+  Message m;
   m.type = MessageType::kAdam2Request;
   m.sender = 77;
   m.instances = {sample_payload(1), sample_payload(2)};
-
-  Writer scratch;
-  Adam2MessageBuilder builder(scratch, m.type, m.sender);
-  for (const InstancePayload& p : m.instances) builder.add(p);
-  const auto built = builder.finish();
-  const auto owned = m.encode();
-  ASSERT_EQ(built.size(), owned.size());
-  EXPECT_TRUE(std::equal(built.begin(), built.end(), owned.begin()));
+  EXPECT_EQ(build(m), m.encode());
 }
 
 TEST(Adam2MessageBuilderTest, ScratchIsReusableAndEmptySetMatches) {
   Writer scratch;
   {
     Adam2MessageBuilder builder(scratch, MessageType::kAdam2Request, 1);
-    builder.add(sample_payload());
+    builder.add(sample_payload().ref());
     (void)builder.finish();
   }
   // Second message on the same scratch: the empty-set marker must encode
   // exactly what the owning encoder produces for the id/round/ttl-only
   // payload with the flag set.
-  const InstancePayload like = sample_payload(9);
-  Adam2Message owning;
+  const Payload like = sample_payload(9);
+  Message owning;
   owning.type = MessageType::kAdam2Response;
   owning.sender = 2;
-  InstancePayload marker;
+  Payload marker;
   marker.id = like.id;
   marker.start_round = like.start_round;
   marker.ttl = like.ttl;
@@ -357,11 +371,63 @@ TEST(Adam2MessageBuilderTest, ScratchIsReusableAndEmptySetMatches) {
   owning.instances = {marker};
 
   Adam2MessageBuilder builder(scratch, MessageType::kAdam2Response, 2);
-  builder.add_empty_set(like);
+  builder.add_empty_set(like.ref());
   const auto built = builder.finish();
   const auto owned = owning.encode();
   ASSERT_EQ(built.size(), owned.size());
   EXPECT_TRUE(std::equal(built.begin(), built.end(), owned.begin()));
+}
+
+std::string to_hex(std::span<const std::byte> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const std::byte b : bytes) {
+    hex += kDigits[static_cast<unsigned>(b) >> 4];
+    hex += kDigits[static_cast<unsigned>(b) & 0xf];
+  }
+  return hex;
+}
+
+TEST(Adam2MessageBuilderTest, BytesMatchPinnedLayout) {
+  // The Adam2 payload layout, pinned byte for byte: the reference codec
+  // mirrors the builder, so only a literal catches a consistent reorder.
+  // Every field is little-endian; each point is (f64 t, f64 f).
+  const std::vector<stats::CdfPoint> ha{{1.0, 0.25}, {2.0, 0.5}, {4.0, 1.0}};
+  const std::vector<stats::CdfPoint> va{{1.5, 0.25}, {3.0, 0.75}};
+  const std::vector<stats::CdfPoint> hb{{2.0, 0.125}, {4.0, 0.375}, {8.0, 1.0}};
+  const std::vector<stats::CdfPoint> vb{{3.0, 0.25}, {6.0, 0.5}};
+  Writer scratch;
+  Adam2MessageBuilder builder(scratch, MessageType::kAdam2Response,
+                              0x1122334455667788ULL);
+  builder.add(InstancePayloadRef{{0xa1, 1}, 19, 23, 0, 0.5, 1.0, 4.0, ha, va});
+  builder.add(InstancePayloadRef{{0xb2, 2}, 20, 22, 0, 0.25, 2.0, 8.0, hb, vb});
+  builder.add_empty_set(
+      InstancePayloadRef{{0xc3, 3}, 21, 5, 0, 0.75, 3.0, 9.0, ha, va});
+  EXPECT_EQ(
+      to_hex(builder.finish()),
+      // type, sender, payload count
+      "02" "8877665544332211" "03000000"
+      // initiator, seq, start_round, ttl, flags; weight, min, max
+      "a100000000000000" "01000000" "13000000" "1700" "00"
+      "000000000000e03f" "000000000000f03f" "0000000000001040"
+      // H: count, then (t, f) per point; V likewise
+      "03000000"
+      "000000000000f03f000000000000d03f" "0000000000000040000000000000e03f"
+      "0000000000001040000000000000f03f"
+      "02000000"
+      "000000000000f83f000000000000d03f" "0000000000000840000000000000e83f"
+      // second payload
+      "b200000000000000" "02000000" "14000000" "1600" "00"
+      "000000000000d03f" "0000000000000040" "0000000000002040"
+      "03000000"
+      "0000000000000040000000000000c03f" "0000000000001040000000000000d83f"
+      "0000000000002040000000000000f03f"
+      "02000000"
+      "0000000000000840000000000000d03f" "0000000000001840000000000000e03f"
+      // empty-set marker: flag 0x01, zeroed averages, no points
+      "c300000000000000" "03000000" "15000000" "0500" "01"
+      "0000000000000000" "0000000000000000" "0000000000000000"
+      "00000000" "00000000");
 }
 
 /// Fuzz: random truncations/corruptions must throw DecodeError, never crash
@@ -371,7 +437,7 @@ class WireFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WireFuzzTest, CorruptedBuffersThrowCleanly) {
   rng::Rng rng(static_cast<std::uint64_t>(GetParam()));
-  Adam2Message m;
+  Message m;
   m.sender = rng();
   const std::size_t count = rng.below(3);
   for (std::size_t i = 0; i < count; ++i) {
@@ -385,15 +451,15 @@ TEST_P(WireFuzzTest, CorruptedBuffersThrowCleanly) {
   if (rng.bernoulli(0.5) && !bytes.empty()) {
     bytes.resize(rng.below(bytes.size()));
   }
-  std::optional<Adam2Message> decoded;
+  std::optional<Message> decoded;
   try {
-    decoded = Adam2Message::decode(bytes);
+    decoded = Message::decode(bytes);
   } catch (const DecodeError&) {
     // Expected for most corruptions.
   }
-  std::optional<Adam2Message> viewed;
+  std::optional<Message> viewed;
   try {
-    viewed = Adam2MessageView::parse(bytes).materialize();
+    viewed = reference::to_message(Adam2MessageView::parse(bytes));
   } catch (const DecodeError&) {
   }
   EXPECT_EQ(decoded.has_value(), viewed.has_value());
@@ -481,7 +547,7 @@ TEST(WireMutantCorpusTest, Adam2ViewAndDecodeAgreeOnEveryMutant) {
   rng::Rng rng(0xada2c0de);
   std::size_t accepted = 0;
   for (int i = 0; i < kMutantsPerFormat; ++i) {
-    Adam2Message m;
+    Message m;
     m.type = rng.bernoulli(0.5) ? MessageType::kAdam2Request
                                 : MessageType::kAdam2Response;
     m.sender = rng();
@@ -492,14 +558,14 @@ TEST(WireMutantCorpusTest, Adam2ViewAndDecodeAgreeOnEveryMutant) {
     }
     const std::vector<std::byte> mutant = mutate(m.encode(), rng);
 
-    std::optional<Adam2Message> decoded;
+    std::optional<Message> decoded;
     try {
-      decoded = Adam2Message::decode(mutant);
+      decoded = Message::decode(mutant);
     } catch (const DecodeError&) {
     }
-    std::optional<Adam2Message> viewed;
+    std::optional<Message> viewed;
     try {
-      viewed = Adam2MessageView::parse(mutant).materialize();
+      viewed = reference::to_message(Adam2MessageView::parse(mutant));
     } catch (const DecodeError&) {
     }
     // The validation walk and the owning decoder must agree on every mutant.
